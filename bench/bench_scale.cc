@@ -118,8 +118,8 @@ ScaleResult RunScale(const ScaleFleet& fleet, double match_radius_km) {
   r.candidate_evals = stats.evaluated;
 
   Stopwatch plan_watch;
-  assign::ShardPlan plan =
-      assign::BuildShardPlan(table, fleet.tasks, fleet.workers);
+  assign::ShardPlan plan = assign::BuildShardPlan(
+      table, static_cast<int>(fleet.workers.size()));
   r.plan_s = plan_watch.ElapsedSeconds();
   r.rows = plan.total_rows;
   r.shard_count = static_cast<int64_t>(plan.shards.size());
@@ -173,7 +173,10 @@ int ScaleBenchMain(int argc, char** argv) {
     TablePrinter table({"workers", "tasks", "rows", "shards", "max_rows",
                        "matched", "assign/s"});
     for (int num_workers : {1000, 10000, 100000}) {
-      const std::string name = "w" + std::to_string(num_workers);
+      // Appended rather than `"w" + to_string(..)`: GCC 12 reports a
+      // false -Wrestrict on that operator+ overload at -O3.
+      std::string name = "w";
+      name += std::to_string(num_workers);
       ScaleFleet fleet =
           SynthesizeFleet(num_workers, 7000 + static_cast<uint64_t>(
                                                   num_workers));

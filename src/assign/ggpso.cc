@@ -6,8 +6,6 @@
 
 #include "assign/candidate_index.h"
 #include "assign/candidates.h"
-#include "assign/incremental.h"
-#include "assign/sharding.h"
 #include "common/check.h"
 #include "common/obs/metrics.h"
 #include "common/obs/trace.h"
@@ -33,36 +31,18 @@ using FeasibilityTable = std::vector<std::vector<FeasibleEdge>>;
 
 FeasibilityTable BuildTable(const std::vector<SpatialTask>& tasks,
                             const std::vector<CandidateWorker>& workers,
-                            double match_radius_km, double now_min,
-                            bool use_spatial_index, bool shard_components,
-                            AssignReuse* reuse) {
+                            double match_radius_km, double now_min) {
   static obs::Histogram& build_hist =
       obs::MetricsRegistry::Global().GetHistogram(
           "assign.index_build_s", obs::DurationEdgesSeconds());
-  std::vector<std::vector<TaskCandidate>> candidates;
-  if (reuse != nullptr) {
-    obs::TraceSpan build_span("ggpso.index_build");
-    candidates =
-        reuse->candidates.BuildTable(tasks, workers, match_radius_km, now_min);
-  } else {
-    std::optional<CandidateIndex> index;
-    if (use_spatial_index) {
-      obs::TraceSpan build_span("ggpso.index_build");
-      Stopwatch build_watch;
-      index.emplace(workers);
-      build_hist.Record(build_watch.ElapsedSeconds());
-    }
-    candidates = GenerateCandidates(tasks, workers, match_radius_km, now_min,
-                                    index ? &*index : nullptr);
-  }
-  if (shard_components) {
-    // Record-only under --sharding: the GA draws from one sequential RNG
-    // stream across every task, so a per-shard evolution would diverge
-    // bitwise from the global one. The decomposition is still computed so
-    // shard observability (assign.shard_count / assign.shard_max_rows)
-    // covers GGPSO batches like KM's and PPI's (see GgpsoConfig).
-    (void)BuildShardPlan(candidates, tasks, workers);
-  }
+  std::optional<obs::TraceSpan> build_span(std::in_place,
+                                           "ggpso.index_build");
+  Stopwatch build_watch;
+  const CandidateIndex index(workers);
+  build_hist.Record(build_watch.ElapsedSeconds());
+  build_span.reset();
+  const std::vector<std::vector<TaskCandidate>> candidates =
+      GenerateCandidates(tasks, workers, match_radius_km, now_min, &index);
   FeasibilityTable table(tasks.size());
   for (size_t t = 0; t < candidates.size(); ++t) {
     for (const TaskCandidate& tc : candidates[t]) {
@@ -159,8 +139,7 @@ void Mutate(Individual& ind, const FeasibilityTable& table, int num_workers,
 
 AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
                            const std::vector<CandidateWorker>& workers,
-                           double now_min, const GgpsoConfig& config,
-                           AssignReuse* reuse) {
+                           double now_min, const GgpsoConfig& config) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& solves_counter = registry.GetCounter("ggpso.solves");
   static obs::Counter& generations_counter =
@@ -178,8 +157,7 @@ AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
   obs::TraceSpan solve_span("ggpso.solve");
 
   FeasibilityTable table =
-      BuildTable(tasks, workers, config.match_radius_km, now_min,
-                 config.use_spatial_index, config.shard_components, reuse);
+      BuildTable(tasks, workers, config.match_radius_km, now_min);
   Rng rng(config.seed);
   const int num_workers = static_cast<int>(workers.size());
 

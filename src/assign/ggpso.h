@@ -5,8 +5,6 @@
 
 namespace tamp::assign {
 
-struct AssignReuse;
-
 /// Parameters of the GGPSO baseline.
 struct GgpsoConfig {
   int population = 24;
@@ -18,30 +16,18 @@ struct GgpsoConfig {
   /// Matching-rate radius a used in the feasibility test (same as PPI's).
   double match_radius_km = 0.5;
   uint64_t seed = 99;
-  /// Prune candidate generation through the per-batch spatial index
-  /// (CandidateIndex); dense sweep when false. Plans are bit-identical
-  /// either way.
-  bool use_spatial_index = true;
-  /// --sharding=components. GGPSO's population evolves through ONE
-  /// sequential RNG stream spanning all tasks, so a per-shard evolution
-  /// could not be bitwise-identical to the global one; with this flag the
-  /// candidate-graph decomposition is computed and recorded (the
-  /// assign.shard_count / assign.shard_max_rows instruments, matching
-  /// KM/PPI observability) but the GA itself still runs globally — plans
-  /// are trivially bit-identical with the flag on or off (DESIGN.md §4k).
-  bool shard_components = false;
 };
 
 /// GGPSO [11]: the state-of-the-art mobility-prediction-aware assignment
 /// baseline — a genetic algorithm with particle-swarm-style guidance that
 /// iteratively improves a population of assignment plans through
 /// crossover with the global best, mutation, and tournament selection.
-/// Feasibility uses the same predicted-trajectory test as PPI's stage 3.
-/// A non-null `reuse` builds the feasibility table through the incremental
-/// engine (bit-identical table; no warm-start — GGPSO runs no KM).
+/// Feasibility uses the same predicted-trajectory test as PPI's stage 3,
+/// on candidates from the per-batch spatial index (CandidateIndex). The
+/// population evolves through ONE sequential RNG stream spanning all
+/// tasks, so the GA runs globally rather than per candidate-graph shard.
 AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
                            const std::vector<CandidateWorker>& workers,
-                           double now_min, const GgpsoConfig& config,
-                           AssignReuse* reuse = nullptr);
+                           double now_min, const GgpsoConfig& config);
 
 }  // namespace tamp::assign

@@ -4,7 +4,6 @@
 
 #include "assign/candidate_index.h"
 #include "assign/candidates.h"
-#include "assign/incremental.h"
 #include "assign/sharding.h"
 #include "common/obs/metrics.h"
 #include "common/obs/trace.h"
@@ -16,8 +15,7 @@ namespace tamp::assign {
 AssignmentPlan KmAssign(const std::vector<SpatialTask>& tasks,
                         const std::vector<CandidateWorker>& workers,
                         double now_min, double match_radius_km,
-                        double weight_floor_km, bool use_spatial_index,
-                        AssignReuse* reuse, bool shard_components) {
+                        double weight_floor_km) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& solves_counter = registry.GetCounter("km.solves");
   static obs::Counter& edges_counter = registry.GetCounter("km.edges");
@@ -29,24 +27,13 @@ AssignmentPlan KmAssign(const std::vector<SpatialTask>& tasks,
   AssignmentPlan plan;
   if (tasks.empty() || workers.empty()) return plan;
 
-  std::vector<std::vector<TaskCandidate>> table;
-  if (reuse != nullptr) {
-    // Incremental path: the engine's delta-updated index + row cache stand
-    // in for the per-batch CandidateIndex; tables are bit-identical.
-    obs::TraceSpan build_span("km.index_build");
-    table = reuse->candidates.BuildTable(tasks, workers, match_radius_km,
-                                         now_min);
-  } else {
-    std::optional<CandidateIndex> index;
-    if (use_spatial_index) {
-      obs::TraceSpan build_span("km.index_build");
-      Stopwatch build_watch;
-      index.emplace(workers);
-      build_hist.Record(build_watch.ElapsedSeconds());
-    }
-    table = GenerateCandidates(tasks, workers, match_radius_km, now_min,
-                               index ? &*index : nullptr);
-  }
+  std::optional<obs::TraceSpan> build_span(std::in_place, "km.index_build");
+  Stopwatch build_watch;
+  const CandidateIndex index(workers);
+  build_hist.Record(build_watch.ElapsedSeconds());
+  build_span.reset();
+  const std::vector<std::vector<TaskCandidate>> table = GenerateCandidates(
+      tasks, workers, match_radius_km, now_min, &index);
 
   std::vector<matching::Edge> edges;
   for (size_t t = 0; t < table.size(); ++t) {
@@ -60,22 +47,12 @@ AssignmentPlan KmAssign(const std::vector<SpatialTask>& tasks,
   edges_counter.Increment(static_cast<int64_t>(edges.size()));
   Stopwatch solve_watch;
   obs::TraceSpan solve_span("km.solve");
-  matching::MatchResult result;
-  if (shard_components) {
-    // Geo-sharded solve (DESIGN.md §4k): connected components of the
-    // candidate table share no feasible edge, so per-shard KM merged in
-    // task order is bit-identical to the global solve. Warm state lives in
-    // the signature-keyed shard pool (the global `km` holder's prefix
-    // would never match the shard-local matrices).
-    const ShardPlan shard_plan = BuildShardPlan(table, tasks, workers);
-    result = ShardedMaxWeightMatching(
-        static_cast<int>(tasks.size()), static_cast<int>(workers.size()),
-        edges, shard_plan, reuse != nullptr ? &reuse->shard_pool : nullptr);
-  } else {
-    result = matching::MaxWeightMatching(
-        static_cast<int>(tasks.size()), static_cast<int>(workers.size()),
-        edges, nullptr, reuse != nullptr ? &reuse->km : nullptr);
-  }
+  // Geo-sharded solve (DESIGN.md §4k): connected components of the
+  // candidate table share no feasible edge, so per-shard KM merged in task
+  // order is the global maximum-weight matching.
+  const matching::MatchResult result = ShardedMaxWeightMatching(
+      static_cast<int>(tasks.size()), static_cast<int>(workers.size()), edges,
+      BuildShardPlan(table, static_cast<int>(workers.size())));
   solve_hist.Record(solve_watch.ElapsedSeconds());
   for (auto [t, w] : result.pairs) {
     // Recover dis^min of the matched pair from its table row (rows hold

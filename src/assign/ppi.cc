@@ -8,7 +8,6 @@
 
 #include "assign/candidate_index.h"
 #include "assign/candidates.h"
-#include "assign/incremental.h"
 #include "assign/sharding.h"
 #include "common/check.h"
 #include "common/obs/metrics.h"
@@ -38,47 +37,19 @@ int64_t PairKey(int task, int worker) {
 /// Reusable buffers for MatchAndCommit across the many per-batch KM calls
 /// of one PpiAssign invocation.
 struct CommitScratch {
-  matching::MatchingScratch matching;
   std::vector<matching::Edge> km_edges;
   std::unordered_map<int64_t, double> min_b_of_pair;
 };
 
-/// Runs KM on the given candidate edges and appends the matched pairs to
-/// `plan`, marking tasks/workers as assigned. Weights are 1/(min_b+floor).
-/// With `reuse` non-null the solve warm-starts from the previous batch's
-/// same-ordinal solve (stage 1, then each stage-2 flush, then stage 3 —
-/// the sequence is deterministic, so ordinals line up whenever the batch
-/// shapes do); `solve_ordinal` counts only calls that actually solve.
-/// A non-null `shard_plan` solves per connected component instead of
-/// globally (bit-identical; warm state moves to reuse->shard_pool keyed by
-/// shard signature with the ordinal as salt).
+/// Runs KM on the given candidate edges, per connected component of
+/// `shard_plan`, and appends the matched pairs to `plan`, marking
+/// tasks/workers as assigned. Weights are 1/(min_b+floor).
 void MatchAndCommit(const std::vector<PpiCandidate>& edges, int num_tasks,
                     int num_workers, double weight_floor,
                     CommitScratch& scratch, std::vector<char>& task_done,
                     std::vector<char>& worker_done, AssignmentPlan& plan,
-                    AssignReuse* reuse, const ShardPlan* shard_plan,
-                    size_t& solve_ordinal) {
+                    const ShardPlan& shard_plan) {
   if (edges.empty()) return;
-  // Cap the per-ordinal warm holders so a pathological flush count cannot
-  // accumulate unbounded checkpoint state across batches.
-  constexpr size_t kMaxWarmSolves = 32;
-  matching::KmWarmState* warm = nullptr;
-  ShardWarmPool* shard_pool = nullptr;
-  uint64_t shard_salt = 0;
-  if (reuse != nullptr) {
-    if (solve_ordinal < kMaxWarmSolves) {
-      if (shard_plan != nullptr) {
-        shard_pool = &reuse->shard_pool;
-      } else {
-        if (reuse->ppi.size() <= solve_ordinal) {
-          reuse->ppi.resize(solve_ordinal + 1);
-        }
-        warm = &reuse->ppi[solve_ordinal];
-      }
-    }
-    shard_salt = solve_ordinal;
-    ++solve_ordinal;
-  }
   obs::TraceSpan match_span("ppi.match");
   std::vector<matching::Edge>& km_edges = scratch.km_edges;
   km_edges.clear();
@@ -97,12 +68,8 @@ void MatchAndCommit(const std::vector<PpiCandidate>& edges, int num_tasks,
     TAMP_DCHECK(inserted);
     (void)inserted;
   }
-  matching::MatchResult result =
-      shard_plan != nullptr
-          ? ShardedMaxWeightMatching(num_tasks, num_workers, km_edges,
-                                     *shard_plan, shard_pool, shard_salt)
-          : matching::MaxWeightMatching(num_tasks, num_workers, km_edges,
-                                        &scratch.matching, warm);
+  const matching::MatchResult result = ShardedMaxWeightMatching(
+      num_tasks, num_workers, km_edges, shard_plan);
   for (auto [task, worker] : result.pairs) {
     const size_t ti = static_cast<size_t>(task);
     const size_t wi = static_cast<size_t>(worker);
@@ -119,8 +86,7 @@ void MatchAndCommit(const std::vector<PpiCandidate>& edges, int num_tasks,
 
 AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
                          const std::vector<CandidateWorker>& workers,
-                         double now_min, const PpiConfig& config,
-                         AssignReuse* reuse) {
+                         double now_min, const PpiConfig& config) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& calls_counter = registry.GetCounter("ppi.calls");
   static obs::Counter& certain_counter =
@@ -141,35 +107,21 @@ AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
 
   // Candidate table shared by stages 1 and 3: EvaluateCandidate is pure in
   // (task, worker, now), so one evaluation per pair serves both stages.
-  std::vector<std::vector<TaskCandidate>> table;
-  if (reuse != nullptr) {
-    obs::TraceSpan build_span("ppi.index_build");
-    table = reuse->candidates.BuildTable(tasks, workers,
-                                         config.match_radius_km, now_min);
-  } else {
-    std::optional<CandidateIndex> index;
-    if (config.use_spatial_index) {
-      obs::TraceSpan build_span("ppi.index_build");
-      Stopwatch build_watch;
-      index.emplace(workers);
-      build_hist.Record(build_watch.ElapsedSeconds());
-    }
-    table = GenerateCandidates(tasks, workers, config.match_radius_km,
-                               now_min, index ? &*index : nullptr);
-  }
+  std::optional<obs::TraceSpan> build_span(std::in_place, "ppi.index_build");
+  Stopwatch build_watch;
+  const CandidateIndex index(workers);
+  build_hist.Record(build_watch.ElapsedSeconds());
+  build_span.reset();
+  const std::vector<std::vector<TaskCandidate>> table = GenerateCandidates(
+      tasks, workers, config.match_radius_km, now_min, &index);
 
   std::vector<char> task_done(static_cast<size_t>(num_tasks), 0);
   std::vector<char> worker_done(static_cast<size_t>(num_workers), 0);
   CommitScratch scratch;
-  size_t solve_ordinal = 0;
 
-  // Geo-sharded mode: one decomposition serves every stage (each stage's
-  // edges are table rows, so no edge crosses a component boundary).
-  std::optional<ShardPlan> shard_plan;
-  if (config.shard_components) {
-    shard_plan.emplace(BuildShardPlan(table, tasks, workers));
-  }
-  const ShardPlan* shards = shard_plan ? &*shard_plan : nullptr;
+  // One decomposition serves every stage (each stage's edges are table
+  // rows, so no edge crosses a component boundary).
+  const ShardPlan shards = BuildShardPlan(table, num_workers);
 
   // ---- Stage 1 (Alg. 4 lines 1-12): certain pairs (|B| * MR >= 1). ----
   std::optional<obs::TraceSpan> stage1_span(std::in_place, "ppi.stage1");
@@ -194,8 +146,7 @@ AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
   certain_counter.Increment(static_cast<int64_t>(certain.size()));
   pending_counter.Increment(static_cast<int64_t>(pending.size()));
   MatchAndCommit(certain, num_tasks, num_workers, config.weight_floor_km,
-                 scratch, task_done, worker_done, plan, reuse, shards,
-                 solve_ordinal);
+                 scratch, task_done, worker_done, plan, shards);
   stage1_span.reset();
 
   // ---- Stage 2 (lines 13-27): drain pending pairs in descending |B|*MR,
@@ -218,8 +169,7 @@ AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
       }
     }
     MatchAndCommit(live, num_tasks, num_workers, config.weight_floor_km,
-                   scratch, task_done, worker_done, plan, reuse, shards,
-                   solve_ordinal);
+                   scratch, task_done, worker_done, plan, shards);
     batch.clear();
   };
   for (const PpiCandidate& c : pending) {
@@ -246,8 +196,7 @@ AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
   }
   fallback_counter.Increment(static_cast<int64_t>(fallback.size()));
   MatchAndCommit(fallback, num_tasks, num_workers, config.weight_floor_km,
-                 scratch, task_done, worker_done, plan, reuse, shards,
-                 solve_ordinal);
+                 scratch, task_done, worker_done, plan, shards);
   return plan;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "common/obs/metrics.h"
@@ -15,12 +16,6 @@ namespace {
 int64_t PairKey(int left, int right) {
   return (static_cast<int64_t>(left) << 32) |
          static_cast<int64_t>(static_cast<uint32_t>(right));
-}
-
-uint64_t Fnv1aMix(uint64_t h, uint64_t x) {
-  // One 64-bit FNV-1a step per ingested word.
-  constexpr uint64_t kPrime = 1099511628211ull;
-  return (h ^ x) * kPrime;
 }
 
 /// Union-find over task/worker nodes with path halving + union by size.
@@ -60,17 +55,15 @@ class UnionFind {
 }  // namespace
 
 ShardPlan BuildShardPlan(const std::vector<std::vector<TaskCandidate>>& table,
-                         const std::vector<SpatialTask>& tasks,
-                         const std::vector<CandidateWorker>& workers) {
+                         int num_workers) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   static obs::Counter& count_counter =
       registry.GetCounter("assign.shard_count");
   static obs::Gauge& max_rows_gauge =
       registry.GetGauge("assign.shard_max_rows");
 
-  TAMP_CHECK(table.size() == tasks.size());
-  const int num_tasks = static_cast<int>(tasks.size());
-  const int num_workers = static_cast<int>(workers.size());
+  TAMP_CHECK(num_workers >= 0);
+  const int num_tasks = static_cast<int>(table.size());
 
   ShardPlan plan;
   plan.shard_of_task.assign(static_cast<size_t>(num_tasks), -1);
@@ -115,32 +108,6 @@ ShardPlan BuildShardPlan(const std::vector<std::vector<TaskCandidate>>& table,
   for (Shard& shard : plan.shards) {
     shard.cost = shard.rows * static_cast<int64_t>(shard.tasks.size() +
                                                    shard.workers.size());
-    // Signature over stable ids (batch indices shift as the pool churns),
-    // hashed in sorted-id order so it is a pure function of the membership
-    // *set* — the same tasks/workers permuted to different batch positions
-    // find their warm holder again. The 0/1 tags keep {task ids} and
-    // {worker ids} from colliding.
-    std::vector<int64_t> task_ids, worker_ids;
-    task_ids.reserve(shard.tasks.size());
-    for (int t : shard.tasks) {
-      task_ids.push_back(tasks[static_cast<size_t>(t)].id);
-    }
-    worker_ids.reserve(shard.workers.size());
-    for (int w : shard.workers) {
-      worker_ids.push_back(workers[static_cast<size_t>(w)].id);
-    }
-    std::sort(task_ids.begin(), task_ids.end());
-    std::sort(worker_ids.begin(), worker_ids.end());
-    uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis.
-    for (int64_t id : task_ids) {
-      h = Fnv1aMix(h, 0);
-      h = Fnv1aMix(h, static_cast<uint64_t>(id));
-    }
-    for (int64_t id : worker_ids) {
-      h = Fnv1aMix(h, 1);
-      h = Fnv1aMix(h, static_cast<uint64_t>(id));
-    }
-    shard.signature = h;
     plan.max_rows = std::max(plan.max_rows, shard.rows);
   }
 
@@ -173,17 +140,9 @@ ShardPlan BuildShardPlan(const std::vector<std::vector<TaskCandidate>>& table,
   return plan;
 }
 
-void ShardWarmPool::BeginBatch(size_t incoming) {
-  if (holders_.size() + incoming > kMaxHolders) holders_.clear();
-}
-
-matching::KmWarmState* ShardWarmPool::Acquire(uint64_t signature) {
-  return &holders_[signature];
-}
-
 matching::MatchResult ShardedMaxWeightMatching(
     int num_left, int num_right, const std::vector<matching::Edge>& edges,
-    const ShardPlan& plan, ShardWarmPool* warm_pool, uint64_t warm_salt) {
+    const ShardPlan& plan) {
   TAMP_CHECK(num_left >= 0 && num_right >= 0);
   TAMP_CHECK(plan.shard_of_task.size() == static_cast<size_t>(num_left));
   TAMP_CHECK(plan.shard_of_worker.size() == static_cast<size_t>(num_right));
@@ -228,26 +187,6 @@ matching::MatchResult ShardedMaxWeightMatching(
     cell = std::max(cell, e.weight);
   }
 
-  // Acquire warm holders serially before the fan-out (the pool is not
-  // thread-safe). A signature collision inside one batch would hand two
-  // concurrent solves the same holder — degrade the later shard to cold
-  // instead of racing.
-  std::vector<matching::KmWarmState*> warm_of(num_shards, nullptr);
-  if (warm_pool != nullptr) {
-    warm_pool->BeginBatch(num_shards);
-    std::vector<matching::KmWarmState*> seen;
-    seen.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (shard_edges[s].empty()) continue;
-      const uint64_t key =
-          Fnv1aMix(plan.shards[s].signature, warm_salt + 1);
-      matching::KmWarmState* holder = warm_pool->Acquire(key);
-      if (std::find(seen.begin(), seen.end(), holder) != seen.end()) continue;
-      seen.push_back(holder);
-      warm_of[s] = holder;
-    }
-  }
-
   // Solve shards concurrently. LPT: the plan orders shards cost-
   // descending and the pool claims indices dynamically, so the largest
   // solves start first. Writes are slot-indexed (sub[s]); the per-thread
@@ -260,7 +199,7 @@ matching::MatchResult ShardedMaxWeightMatching(
     sub[s] = matching::MaxWeightMatching(
         static_cast<int>(plan.shards[s].tasks.size()),
         static_cast<int>(plan.shards[s].workers.size()), shard_edges[s],
-        &scratch, warm_of[s]);
+        &scratch);
   });
 
   // Merge in global left-ascending order — the global solve's emission

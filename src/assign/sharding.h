@@ -1,25 +1,22 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "assign/candidates.h"
-#include "assign/types.h"
 #include "matching/hungarian.h"
 
 namespace tamp::assign {
 
-/// Geo-sharded assignment (DESIGN.md §4k, ROADMAP item 2): the per-batch
-/// candidate table decomposes into connected components of the bipartite
-/// (task, worker) graph, and components share no feasible edge — so a
-/// maximum-weight matching computed per component and concatenated is a
-/// maximum-weight matching of the whole graph. With geographically
-/// clustered fleets the largest component is orders of magnitude smaller
-/// than the fleet, turning the one global O(n^3) Hungarian solve into many
-/// small independent ones that the deterministic parallel runtime spreads
-/// over the pool.
+/// Geo-sharded assignment (DESIGN.md §4k), the one solve path of KM and
+/// PPI: the per-batch candidate table decomposes into connected components
+/// of the bipartite (task, worker) graph, and components share no feasible
+/// edge — so a maximum-weight matching computed per component and
+/// concatenated is a maximum-weight matching of the whole graph. With
+/// geographically clustered fleets the largest component is orders of
+/// magnitude smaller than the fleet, turning the one global O(n^3)
+/// Hungarian solve into many small independent ones that the deterministic
+/// parallel runtime spreads over the pool.
 
 /// One connected component of the candidate graph, in batch indices.
 struct Shard {
@@ -30,13 +27,6 @@ struct Shard {
   /// LPT cost model: rows x (tasks + workers), a proxy for the KM cycle
   /// count (each augmenting row scans every column of the padded matrix).
   int64_t cost = 0;
-  /// FNV-1a over the member *ids* (stable across batches, unlike batch
-  /// indices). Keys the shard's KmWarmState in a ShardWarmPool, so warm
-  /// resume survives resharding: any membership change — a worker
-  /// migrating in or out, two shards merging — lands on a different
-  /// signature and therefore a fresh (or that membership's own) holder
-  /// instead of silently warm-starting against a different column order.
-  uint64_t signature = 0;
 };
 
 /// The full decomposition of one batch's candidate table.
@@ -51,42 +41,14 @@ struct ShardPlan {
   int64_t max_rows = 0;  // Rows of the largest shard (0 when no shards).
 };
 
-/// Builds the connected components of `table` via union-find over its
-/// rows. `tasks`/`workers` are the batch vectors the table was built from
-/// (`table.size() == tasks.size()`); only their stable `.id` fields are
-/// read, for shard signatures. Every traversal is index-ordered (tasks
-/// ascending, each task's rows in table order), so the plan — shard
-/// membership, ordering, and signatures — is a pure function of the table.
-/// Serial; records assign.shard_count / assign.shard_max_rows.
+/// Builds the connected components of `table` (one row list per batch
+/// task, over `num_workers` batch workers) via union-find over its rows.
+/// Every traversal is index-ordered (tasks ascending, each task's rows in
+/// table order), so the plan — shard membership and ordering — is a pure
+/// function of the table. Serial; records assign.shard_count /
+/// assign.shard_max_rows.
 ShardPlan BuildShardPlan(const std::vector<std::vector<TaskCandidate>>& table,
-                         const std::vector<SpatialTask>& tasks,
-                         const std::vector<CandidateWorker>& workers);
-
-/// Per-shard KmWarmState holders keyed by shard signature, so incremental
-/// reuse survives resharding (the holder a membership used last batch is
-/// found again iff the membership is unchanged). Lookup-only: the map is
-/// never iterated, so hash order cannot leak into results. Not
-/// thread-safe — acquire every holder before fanning out solves.
-class ShardWarmPool {
- public:
-  /// Evicts everything when the incoming batch would overflow the cap;
-  /// call once per sharded solve, before any Acquire. Deterministic: the
-  /// decision depends only on sizes, never on hash order.
-  void BeginBatch(size_t incoming);
-
-  /// Returns the holder for `signature`, creating it on first use. The
-  /// returned pointer is stable until the next BeginBatch.
-  matching::KmWarmState* Acquire(uint64_t signature);
-
-  size_t size() const { return holders_.size(); }
-
- private:
-  /// Bounds cross-batch holder accumulation (stale signatures of long-gone
-  /// memberships). Oversized shards store no checkpoints anyway
-  /// (KmWarmState::max_dim), so each holder is small.
-  static constexpr size_t kMaxHolders = 4096;
-  std::unordered_map<uint64_t, matching::KmWarmState> holders_;
-};
+                         int num_workers);
 
 /// Sharded drop-in for matching::MaxWeightMatching: partitions `edges` by
 /// `plan`, solves each shard concurrently via ParallelFor (each solve on a
@@ -99,12 +61,9 @@ class ShardWarmPool {
 ///
 /// Every positive-weight edge must connect a task and worker of the same
 /// shard (guaranteed when `plan` was built from the table the edges came
-/// from). `warm_pool` (optional) warm-starts each shard's solve from the
-/// previous batch of the same membership; `warm_salt` separates recurring
-/// solve sites sharing one pool (PPI's per-ordinal solves).
+/// from).
 matching::MatchResult ShardedMaxWeightMatching(
     int num_left, int num_right, const std::vector<matching::Edge>& edges,
-    const ShardPlan& plan, ShardWarmPool* warm_pool = nullptr,
-    uint64_t warm_salt = 0);
+    const ShardPlan& plan);
 
 }  // namespace tamp::assign

@@ -8,11 +8,11 @@
 namespace tamp::core {
 
 /// The discrete event kinds of the streaming simulator. The enumerator
-/// values are the SAME-INSTANT PRIORITY ORDER and encode the batch-replay
+/// values are the SAME-INSTANT PRIORITY ORDER and encode the batch-window
 /// predicates exactly (DESIGN.md §4j): at one instant t, everything that
-/// the batch loop's "<= now" tests would admit fires before the
-/// assignment trigger, and everything its "<= now" availability test
-/// would still allow fires after it.
+/// a "<= now" admission test would admit fires before the assignment
+/// trigger, and everything a "<= now" availability test would still
+/// allow fires after it.
 enum class EventKind : uint8_t {
   /// A task's release (release_time <= now admits it into the pool).
   kTaskArrival = 0,

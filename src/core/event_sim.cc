@@ -12,8 +12,8 @@ namespace tamp::core {
 namespace {
 
 /// Seed for the per-(worker, task) dropout draw: a pure function of the
-/// pair, so the outcome is independent of event order, thread count, and
-/// engine. The multipliers are the splitmix64 constants; Rng re-mixes the
+/// pair, so the outcome is independent of event order and thread count.
+/// The multipliers are the splitmix64 constants; Rng re-mixes the
 /// result anyway, this only has to separate nearby (worker, task) pairs.
 uint64_t DropoutDrawSeed(uint64_t model_seed, int worker_id, int task_id) {
   constexpr uint64_t kWorkerMul = 0x9E3779B97F4A7C15ULL;
@@ -42,7 +42,7 @@ void EventSimulator::ScheduleAssignTrigger(double time_min) {
 void EventSimulator::SeedWorkloadEvents() {
   // Every task contributes its arrival and its deadline expiry, keyed by
   // stream index (the stream is sorted by release time, so same-instant
-  // arrivals pool in stream order — exactly the batch loop's admit order).
+  // arrivals pool in stream order).
   for (size_t i = 0; i < workload_.task_stream.size(); ++i) {
     const assign::SpatialTask& task = workload_.task_stream[i];
     queue_.Push({task.release_time_min, EventKind::kTaskArrival,
@@ -102,12 +102,11 @@ void EventSimulator::HandleAssignTrigger(
   static obs::Counter& skips_counter =
       obs::MetricsRegistry::Global().GetCounter("sim.batch_skips");
 
-  // The batch loop's skip conditions: no pending tasks, or nobody online
-  // and free. (Busy/online flags were already settled by the same-instant
+  // Skip conditions: no pending tasks, or nobody online and free.
+  // (Busy/online flags were already settled by the same-instant
   // completion/login events, which sort before the trigger.) A skipped
-  // trigger still counts — the batch-replay loop increments the same
-  // counter at its matching `continue` sites, and the cross-engine
-  // accounting test pins the two totals equal.
+  // trigger still counts, so every trigger lands on exactly one of
+  // sim.batches and sim.batch_skips.
   if (pool_.empty()) {
     skips_counter.Increment();
     return;

@@ -52,9 +52,8 @@ struct EventStats {
 ///                       per-(worker, task) dropout draw.
 ///
 /// Because the event order is total and every draw is keyed by stable ids,
-/// a run is bit-identical at any thread count, and — on dropout-free
-/// workloads — bit-identical to BatchSimulator's batch-replay loop (the
-/// parity ctest).
+/// a run is bit-identical at any thread count (core_golden_metrics_test
+/// pins the SimMetrics of every method at 1 and 4 threads).
 class EventSimulator {
  public:
   /// `step` holds the shared per-batch machinery (and its warm forecast

@@ -42,12 +42,7 @@ SimMetrics TampPipeline::RunOnline(const data::Workload& workload,
                                    AssignMethod method) {
   obs::TraceSpan span("pipeline.run_online");
   nn::EncoderDecoder model(config_.trainer.model);
-  if (config_.sim.candidate_mode == CandidateMode::kIncremental &&
-      assign_reuse_ == nullptr) {
-    assign_reuse_ = std::make_unique<assign::AssignReuse>();
-  }
-  BatchSimulator simulator(workload, model, config_.sim,
-                           assign_reuse_.get());
+  BatchSimulator simulator(workload, model, config_.sim);
 
   std::vector<WorkerPredictor> predictors(workload.workers.size());
   const bool needs_models = method == AssignMethod::kKm ||

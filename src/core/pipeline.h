@@ -1,9 +1,7 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "assign/incremental.h"
 #include "core/simulator.h"
 #include "core/ta_loss.h"
 #include "data/workload.h"
@@ -54,12 +52,6 @@ class TampPipeline {
 
  private:
   PipelineConfig config_;
-  /// Cross-batch (and cross-run) reuse state consumed by RunOnline when
-  /// sim.candidate_mode is kIncremental; created lazily on the first such
-  /// run and
-  /// kept for the pipeline's lifetime so later runs revisiting the same
-  /// batch instants hit the engine's row cache.
-  std::unique_ptr<assign::AssignReuse> assign_reuse_;
 };
 
 }  // namespace tamp::core

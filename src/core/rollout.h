@@ -17,6 +17,8 @@ namespace tamp::core {
 /// the predicted routine can span more steps than the model's native
 /// seq_out. Returned points carry timestamps now + i * step_period_min.
 /// `scratch` (optional) reuses the model's forward buffers across calls.
+/// The online stage runs the fleet-batched form below; this per-worker
+/// chain is its scalar reference.
 std::vector<geo::TimedPoint> RolloutPredict(
     const nn::EncoderDecoder& model, const std::vector<double>& params,
     const std::vector<geo::Point>& recent_km, const geo::GridSpec& grid,
@@ -26,7 +28,7 @@ std::vector<geo::TimedPoint> RolloutPredict(
 /// Cross-batch state for RolloutPredictBatch: the engine scratch plus the
 /// fleet-wide SoA sliding window and prediction buffers. Grow-only — the
 /// simulator keeps one for its whole run, so steady-state batches are
-/// allocation-free (PR 7's AssignReuse idiom applied to forecasting).
+/// allocation-free.
 struct FleetForecastScratch {
   nn::BatchedSeq2SeqScratch engine;
   std::vector<double> window;  // [seq_len][input_dim][rows], row-ordered.

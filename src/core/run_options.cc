@@ -88,19 +88,6 @@ std::string RunFlagsHelp() {
       "  --seed=N                 workload seed (0 = dataset default)\n"
       "  --threads=N              parallel runtime threads (0 = default)\n"
       "  --horizon=N              forecast horizon steps per worker\n"
-      "  --candidates=indexed|dense|incremental  candidate generation:\n"
-      "                           spatial-index pruning (default), dense\n"
-      "                           T x W sweep, or batch-to-batch delta\n"
-      "                           index + row cache + warm-started KM\n"
-      "  --forecast=batched|scalar  worker forecasts: the fleet-wide SoA\n"
-      "                           engine (default) or the per-worker\n"
-      "                           scalar rollout (bit-identical reference)\n"
-      "  --engine=event|batch     simulation engine: the event-queue core\n"
-      "                           (default) or the batch-synchronous\n"
-      "                           replay loop (bit-identical reference)\n"
-      "  --sharding=off|components  solve each connected component of the\n"
-      "                           candidate graph as its own parallel KM\n"
-      "                           shard (plans bit-identical to off)\n"
       "  --methods=A,B,...        assignment methods (UB,LB,KM,PPI,GGPSO;\n"
       "                           default all)\n"
       "  --json-dir=DIR           directory for the BENCH_<target>.json\n"
@@ -146,34 +133,6 @@ Status ParseRunFlags(int argc, char** argv, RunOptions* options) {
       long long v = 0;
       TAMP_RETURN_IF_ERROR(ParseInt(value, flag, &v));
       options->sim.prediction_horizon_steps = static_cast<int>(v);
-    } else if (flag == "--candidates") {
-      StatusOr<CandidateMode> mode = ParseCandidateMode(value);
-      if (!mode.ok()) {
-        return Status::InvalidArgument(flag + ": " +
-                                       std::string(mode.status().message()));
-      }
-      options->sim.candidate_mode = *mode;
-    } else if (flag == "--forecast") {
-      StatusOr<ForecastMode> mode = ParseForecastMode(value);
-      if (!mode.ok()) {
-        return Status::InvalidArgument(flag + ": " +
-                                       std::string(mode.status().message()));
-      }
-      options->sim.forecast_mode = *mode;
-    } else if (flag == "--engine") {
-      StatusOr<SimEngine> engine = ParseSimEngine(value);
-      if (!engine.ok()) {
-        return Status::InvalidArgument(
-            flag + ": " + std::string(engine.status().message()));
-      }
-      options->sim.engine = *engine;
-    } else if (flag == "--sharding") {
-      StatusOr<ShardMode> mode = ParseShardMode(value);
-      if (!mode.ok()) {
-        return Status::InvalidArgument(flag + ": " +
-                                       std::string(mode.status().message()));
-      }
-      options->sim.shard_mode = *mode;
     } else if (flag == "--methods") {
       options->methods.clear();
       std::size_t start = 0;

@@ -59,12 +59,11 @@ std::string RunFlagsHelp();
 /// Parses the shared command-line surface into `options` (which carries
 /// the caller's defaults): --dataset=porto|gowalla,
 /// --workload=porto|porto_surge|gowalla_churn|..., --seed=N, --threads=N,
-/// --horizon=N, --candidates=indexed|dense|incremental,
-/// --forecast=batched|scalar, --engine=event|batch, --methods=KM,PPI,...,
-/// --json-dir=DIR, --trace=PATH, --metrics=PATH, --help. The mode flags
-/// parse through the typed enums (ParseCandidateMode, ParseForecastMode,
-/// ParseSimEngine, data::ParseWorkloadSpec) so flag strings and enum names
-/// cannot drift. Unknown flags and malformed values are InvalidArgument;
+/// --horizon=N, --methods=KM,PPI,..., --json-dir=DIR, --trace=PATH,
+/// --metrics=PATH, --help. --dataset/--workload/--methods parse through
+/// the typed enums (data::ParseWorkloadKind, data::ParseWorkloadSpec,
+/// ParseAssignMethod) so flag strings and enum names cannot drift.
+/// Unknown flags and malformed values are InvalidArgument;
 /// --help is a kFailedPrecondition carrying RunFlagsHelp() so callers
 /// print-and-exit-0.
 Status ParseRunFlags(int argc, char** argv, RunOptions* options);

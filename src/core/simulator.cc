@@ -7,7 +7,6 @@
 #include <string>
 
 #include "assign/bounds.h"
-#include "assign/incremental.h"
 #include "assign/km_assigner.h"
 #include "common/check.h"
 #include "common/obs/metrics.h"
@@ -19,18 +18,6 @@
 #include "geo/trajectory.h"
 
 namespace tamp::core {
-
-namespace {
-
-std::string LowerCopy(std::string_view name) {
-  std::string lower(name);
-  for (char& c : lower) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return lower;
-}
-
-}  // namespace
 
 std::string_view AssignMethodName(AssignMethod method) {
   switch (method) {
@@ -73,149 +60,10 @@ StatusOr<AssignMethod> ParseAssignMethod(std::string_view name) {
                                  accepted + ")");
 }
 
-std::string_view CandidateModeName(CandidateMode mode) {
-  switch (mode) {
-    case CandidateMode::kDense:
-      return "dense";
-    case CandidateMode::kIndexed:
-      return "indexed";
-    case CandidateMode::kIncremental:
-      return "incremental";
-  }
-  return "?";
-}
-
-const std::vector<CandidateMode>& AllCandidateModes() {
-  static const std::vector<CandidateMode> kAll = {CandidateMode::kDense,
-                                                  CandidateMode::kIndexed,
-                                                  CandidateMode::kIncremental};
-  return kAll;
-}
-
-StatusOr<CandidateMode> ParseCandidateMode(std::string_view name) {
-  const std::string lower = LowerCopy(name);
-  for (CandidateMode mode : AllCandidateModes()) {
-    if (lower == CandidateModeName(mode)) return mode;
-  }
-  std::string accepted;
-  for (CandidateMode mode : AllCandidateModes()) {
-    if (!accepted.empty()) accepted += ", ";
-    accepted += CandidateModeName(mode);
-  }
-  return Status::InvalidArgument("unknown candidate mode '" +
-                                 std::string(name) + "' (accepted: " +
-                                 accepted + ")");
-}
-
-std::string_view ForecastModeName(ForecastMode mode) {
-  switch (mode) {
-    case ForecastMode::kScalar:
-      return "scalar";
-    case ForecastMode::kBatched:
-      return "batched";
-  }
-  return "?";
-}
-
-const std::vector<ForecastMode>& AllForecastModes() {
-  static const std::vector<ForecastMode> kAll = {ForecastMode::kScalar,
-                                                 ForecastMode::kBatched};
-  return kAll;
-}
-
-StatusOr<ForecastMode> ParseForecastMode(std::string_view name) {
-  const std::string lower = LowerCopy(name);
-  for (ForecastMode mode : AllForecastModes()) {
-    if (lower == ForecastModeName(mode)) return mode;
-  }
-  std::string accepted;
-  for (ForecastMode mode : AllForecastModes()) {
-    if (!accepted.empty()) accepted += ", ";
-    accepted += ForecastModeName(mode);
-  }
-  return Status::InvalidArgument("unknown forecast mode '" +
-                                 std::string(name) + "' (accepted: " +
-                                 accepted + ")");
-}
-
-std::string_view SimEngineName(SimEngine engine) {
-  switch (engine) {
-    case SimEngine::kEvent:
-      return "event";
-    case SimEngine::kBatchReplay:
-      return "batch";
-  }
-  return "?";
-}
-
-const std::vector<SimEngine>& AllSimEngines() {
-  static const std::vector<SimEngine> kAll = {SimEngine::kEvent,
-                                              SimEngine::kBatchReplay};
-  return kAll;
-}
-
-StatusOr<SimEngine> ParseSimEngine(std::string_view name) {
-  const std::string lower = LowerCopy(name);
-  for (SimEngine engine : AllSimEngines()) {
-    if (lower == SimEngineName(engine)) return engine;
-  }
-  std::string accepted;
-  for (SimEngine engine : AllSimEngines()) {
-    if (!accepted.empty()) accepted += ", ";
-    accepted += SimEngineName(engine);
-  }
-  return Status::InvalidArgument("unknown sim engine '" + std::string(name) +
-                                 "' (accepted: " + accepted + ")");
-}
-
-std::string_view ShardModeName(ShardMode mode) {
-  switch (mode) {
-    case ShardMode::kOff:
-      return "off";
-    case ShardMode::kComponents:
-      return "components";
-  }
-  return "?";
-}
-
-const std::vector<ShardMode>& AllShardModes() {
-  static const std::vector<ShardMode> kAll = {ShardMode::kOff,
-                                              ShardMode::kComponents};
-  return kAll;
-}
-
-StatusOr<ShardMode> ParseShardMode(std::string_view name) {
-  const std::string lower = LowerCopy(name);
-  for (ShardMode mode : AllShardModes()) {
-    if (lower == ShardModeName(mode)) return mode;
-  }
-  std::string accepted;
-  for (ShardMode mode : AllShardModes()) {
-    if (!accepted.empty()) accepted += ", ";
-    accepted += ShardModeName(mode);
-  }
-  return Status::InvalidArgument("unknown shard mode '" + std::string(name) +
-                                 "' (accepted: " + accepted + ")");
-}
-
-size_t PurgeExpiredTasks(std::deque<assign::SpatialTask>& pool,
-                         double now_min) {
-  // One linear pass; the old restart-from-begin scan-erase loop was
-  // O(pool^2) per batch when a backlog expired at once.
-  return std::erase_if(pool, [now_min](const assign::SpatialTask& task) {
-    return task.deadline_min <= now_min;
-  });
-}
-
 BatchAssignStep::BatchAssignStep(const data::Workload& workload,
                                  const nn::EncoderDecoder& model,
-                                 const SimulatorConfig& config,
-                                 assign::AssignReuse* reuse)
-    : workload_(workload),
-      model_(model),
-      config_(config),
-      reuse_(reuse),
-      batched_model_(model.config()) {
+                                 const SimulatorConfig& config)
+    : workload_(workload), config_(config), batched_model_(model.config()) {
   // The observation window length matches the training seq_in: infer it
   // from the first learning task if available.
   if (!workload_.learning_tasks.empty() &&
@@ -258,12 +106,10 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
   pool_depth_hist.Record(static_cast<double>(pool.size()));
   available_hist.Record(static_cast<double>(available.size()));
 
-  // Build the batch views. The autoregressive forecast dominates this
-  // block. Batched mode (the default) only collects each worker's recent
-  // observations here and then runs ONE fleet-wide SoA rollout below;
-  // scalar mode keeps the per-worker RolloutPredict chain inside the
-  // fan-out. Either way every write is slot-indexed, so the batch order
-  // (and thus the assignment input) is identical to the serial loop.
+  // Build the batch views. The fan-out only collects each worker's recent
+  // observations; ONE fleet-wide SoA rollout below then forecasts them all.
+  // Every write is slot-indexed, so the batch order (and thus the
+  // assignment input) is identical to the serial loop.
   std::vector<assign::SpatialTask> batch_tasks(pool.begin(), pool.end());
   std::vector<assign::CandidateWorker> batch_workers(available.size());
   std::vector<geo::Trajectory> real_futures(available.size());
@@ -272,9 +118,7 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
   const bool predicts = method == AssignMethod::kKm ||
                         method == AssignMethod::kPpi ||
                         method == AssignMethod::kGgpso;
-  const bool batched =
-      predicts && config_.forecast_mode == ForecastMode::kBatched;
-  if (batched) {
+  if (predicts) {
     forecast_params_.resize(available.size());
     forecast_recents_.resize(available.size());
   }
@@ -291,32 +135,23 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
     cw.matching_rate = predictors[wi].matching_rate;
     if (predicts) {
       TAMP_CHECK(predictors[wi].params != nullptr);
-      // Recent observed positions (platform-visible location reports).
-      // In batched mode they land in the persistent per-slot buffer.
-      std::vector<geo::Point> local_recent;
-      std::vector<geo::Point>& recent =
-          batched ? forecast_recents_[a] : local_recent;
+      // Recent observed positions (platform-visible location reports),
+      // in the persistent per-slot buffer.
+      std::vector<geo::Point>& recent = forecast_recents_[a];
       recent.clear();
       for (int s = observe_steps_ - 1; s >= 0; --s) {
         recent.push_back(
             record.test.PositionAt(now - s * config_.sample_period_min));
       }
-      if (batched) {
-        forecast_params_[a] = predictors[wi].params;
-      } else {
-        cw.predicted = RolloutPredict(model_, *predictors[wi].params, recent,
-                                      workload_.grid,
-                                      config_.prediction_horizon_steps, now,
-                                      config_.sample_period_min);
-      }
+      forecast_params_[a] = predictors[wi].params;
     }
     batch_workers[a] = std::move(cw);
     // The oracle's and the acceptance test's view of reality.
     real_futures[a] = record.test.Slice(now, now + horizon_min);
   });
-  if (batched) {
-    // The fleet-level forecast call: one batched rollout replaces the
-    // per-worker scalar chains, reusing the engine scratch across batches.
+  if (predicts) {
+    // The fleet-level forecast call: one batched rollout for every worker,
+    // reusing the engine scratch across batches.
     RolloutPredictBatch(batched_model_, forecast_params_, forecast_recents_,
                         workload_.grid, config_.prediction_horizon_steps, now,
                         config_.sample_period_min, forecast_scratch_,
@@ -332,10 +167,6 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
   Stopwatch watch;
   std::optional<obs::TraceSpan> assign_span(std::in_place, "sim.assign");
   assign::AssignmentPlan plan;
-  const bool use_index = config_.candidate_mode != CandidateMode::kDense;
-  const bool shard = config_.shard_mode == ShardMode::kComponents;
-  assign::AssignReuse* reuse =
-      config_.candidate_mode == CandidateMode::kIncremental ? reuse_ : nullptr;
   switch (method) {
     case AssignMethod::kUpperBound:
       plan = assign::UpperBoundAssign(batch_tasks, batch_workers, real_futures,
@@ -346,25 +177,18 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
       break;
     case AssignMethod::kKm:
       plan = assign::KmAssign(batch_tasks, batch_workers, now,
-                              config_.match_radius_km,
-                              /*weight_floor_km=*/1e-3, use_index, reuse,
-                              shard);
+                              config_.match_radius_km);
       break;
     case AssignMethod::kPpi: {
       assign::PpiConfig ppi = config_.ppi;
       ppi.match_radius_km = config_.match_radius_km;
-      ppi.use_spatial_index = use_index;
-      ppi.shard_components = shard;
-      plan = assign::PpiAssign(batch_tasks, batch_workers, now, ppi, reuse);
+      plan = assign::PpiAssign(batch_tasks, batch_workers, now, ppi);
       break;
     }
     case AssignMethod::kGgpso: {
       assign::GgpsoConfig ggpso = config_.ggpso;
       ggpso.match_radius_km = config_.match_radius_km;
-      ggpso.use_spatial_index = use_index;
-      ggpso.shard_components = shard;
-      plan = assign::GgpsoAssign(batch_tasks, batch_workers, now, ggpso,
-                                 reuse);
+      plan = assign::GgpsoAssign(batch_tasks, batch_workers, now, ggpso);
       break;
     }
   }
@@ -413,134 +237,29 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
 
 BatchSimulator::BatchSimulator(const data::Workload& workload,
                                const nn::EncoderDecoder& model,
-                               const SimulatorConfig& config,
-                               assign::AssignReuse* reuse)
-    : workload_(workload),
-      model_(model),
-      config_(config),
-      reuse_(reuse),
-      step_(workload_, model_, config_, reuse_) {
-  // kIncremental without a holder would silently run cold; make the
-  // contract explicit at construction instead of per batch.
-  TAMP_CHECK_MSG(
-      config_.candidate_mode != CandidateMode::kIncremental || reuse_ != nullptr,
-      "CandidateMode::kIncremental requires an AssignReuse holder");
-}
+                               const SimulatorConfig& config)
+    : workload_(workload), config_(config), step_(workload_, model, config_) {}
 
 SimMetrics BatchSimulator::Run(
     AssignMethod method, const std::vector<WorkerPredictor>& predictors) {
-  if (config_.engine == SimEngine::kBatchReplay) {
-    return RunBatchReplay(method, predictors);
-  }
-  obs::TraceSpan run_span("sim.run");
-  const auto& workers = workload_.workers;
-  TAMP_CHECK(predictors.size() == workers.size());
-  SimMetrics metrics;
-  metrics.total_tasks = static_cast<int>(workload_.task_stream.size());
-  if (workers.empty() || workload_.task_stream.empty()) return metrics;
-
   // The thin-client contract (DESIGN.md §4j): the batch cadence lives
-  // HERE — one assignment-trigger event per batch window, with the exact
-  // same floating-point accumulation the legacy loop used — and the event
+  // HERE — one assignment-trigger event per batch window — and the event
   // core handles everything else (arrivals, expiries, sessions,
-  // completions).
-  double horizon_start = workload_.task_stream.front().release_time_min;
-  double horizon_end = 0.0;
-  for (const auto& task : workload_.task_stream) {
-    horizon_end = std::max(horizon_end, task.deadline_min);
-  }
+  // completions), including the run's one sim.run span.
   EventSimulator sim(workload_, config_, step_);
-  for (double now = horizon_start; now <= horizon_end;
-       now += config_.batch_window_min) {
-    sim.ScheduleAssignTrigger(now);
+  if (!workload_.task_stream.empty()) {
+    const double horizon_start =
+        workload_.task_stream.front().release_time_min;
+    double horizon_end = 0.0;
+    for (const auto& task : workload_.task_stream) {
+      horizon_end = std::max(horizon_end, task.deadline_min);
+    }
+    for (double now = horizon_start; now <= horizon_end;
+         now += config_.batch_window_min) {
+      sim.ScheduleAssignTrigger(now);
+    }
   }
   return sim.Run(method, predictors);
-}
-
-SimMetrics BatchSimulator::RunBatchReplay(
-    AssignMethod method, const std::vector<WorkerPredictor>& predictors) {
-  obs::TraceSpan run_span("sim.run");
-  static obs::Counter& skips_counter =
-      obs::MetricsRegistry::Global().GetCounter("sim.batch_skips");
-  const auto& workers = workload_.workers;
-  TAMP_CHECK(predictors.size() == workers.size());
-  SimMetrics metrics;
-  metrics.total_tasks = static_cast<int>(workload_.task_stream.size());
-  if (workers.empty() || workload_.task_stream.empty()) return metrics;
-
-  // Horizon bounds from the task stream.
-  double horizon_start = workload_.task_stream.front().release_time_min;
-  double horizon_end = 0.0;
-  for (const auto& task : workload_.task_stream) {
-    horizon_end = std::max(horizon_end, task.deadline_min);
-  }
-
-  std::vector<double> busy_until(workers.size(), 0.0);
-  std::deque<assign::SpatialTask> pool;  // Pending (released, unexpired).
-  size_t next_release = 0;
-
-  for (double now = horizon_start; now <= horizon_end;
-       now += config_.batch_window_min) {
-    // Admit newly released tasks; drop expired ones.
-    while (next_release < workload_.task_stream.size() &&
-           workload_.task_stream[next_release].release_time_min <= now) {
-      pool.push_back(workload_.task_stream[next_release]);
-      ++next_release;
-    }
-    PurgeExpiredTasks(pool, now);
-    // Counted skips mirror EventSimulator::HandleAssignTrigger exactly:
-    // same predicate, same counter, so the engines' totals stay equal.
-    if (pool.empty()) {
-      skips_counter.Increment();
-      continue;
-    }
-
-    // Available workers still on shift.
-    std::vector<int> available;
-    for (size_t w = 0; w < workers.size(); ++w) {
-      if (busy_until[w] > now) continue;
-      if (workers[w].test.empty()) continue;
-      if (now < workers[w].test.start_time() ||
-          now > workers[w].test.end_time()) {
-        continue;
-      }
-      // Part-time workers only take tasks inside a login session.
-      if (!workers[w].AvailableAt(now)) continue;
-      available.push_back(static_cast<int>(w));
-    }
-    if (available.empty()) {
-      skips_counter.Increment();
-      continue;
-    }
-
-    BatchAssignStep::Outcome outcome =
-        step_.Step(method, predictors, now, pool, available);
-    metrics.assignments += outcome.assignments;
-    metrics.assign_seconds += outcome.assign_seconds;
-    for (const auto& [task_id, worker_id] : outcome.declined) {
-      for (auto& pooled : pool) {
-        if (pooled.id == task_id) {
-          pooled.declined_worker_ids.push_back(worker_id);
-          break;
-        }
-      }
-    }
-    for (const BatchAssignStep::Accepted& accepted : outcome.accepted) {
-      ++metrics.accepted;
-      ++metrics.completed;
-      metrics.total_cost_km += accepted.detour_km;
-      busy_until[static_cast<size_t>(accepted.worker)] =
-          accepted.busy_until_min;
-      // Remove the accepted task from the pool.
-      for (auto it = pool.begin(); it != pool.end(); ++it) {
-        if (it->id == accepted.task_id) {
-          pool.erase(it);
-          break;
-        }
-      }
-    }
-  }
-  return metrics;
 }
 
 }  // namespace tamp::core

@@ -14,10 +14,6 @@
 #include "nn/batched_seq2seq.h"
 #include "nn/encoder_decoder.h"
 
-namespace tamp::assign {
-struct AssignReuse;
-}  // namespace tamp::assign
-
 namespace tamp::core {
 
 /// The compared assignment strategies of Section IV-A.
@@ -41,85 +37,6 @@ StatusOr<AssignMethod> ParseAssignMethod(std::string_view name);
 /// Every AssignMethod, in the fixed presentation order of the paper's
 /// figures (UB, LB, KM, PPI, GGPSO).
 const std::vector<AssignMethod>& AllAssignMethods();
-
-/// How assigners generate (task, worker) candidate pairs. The single
-/// source of truth behind the --candidates flag: ParseRunFlags parses the
-/// flag with ParseCandidateMode and stores the enum here, and every mode's
-/// plans are bit-identical (DESIGN.md §4f/§4h).
-enum class CandidateMode {
-  kDense,        // The dense T x W sweep (parity reference).
-  kIndexed,      // Per-batch spatial-index pruning (default).
-  kIncremental,  // Batch-to-batch delta index + row cache + warm KM.
-};
-
-/// Canonical flag value ("dense", "indexed", "incremental"); static
-/// storage, round-trips through ParseCandidateMode.
-std::string_view CandidateModeName(CandidateMode mode);
-
-/// Inverse of CandidateModeName (case-insensitive); InvalidArgument for
-/// anything else, listing the accepted names.
-StatusOr<CandidateMode> ParseCandidateMode(std::string_view name);
-
-/// Every CandidateMode, in flag-help order (dense, indexed, incremental).
-const std::vector<CandidateMode>& AllCandidateModes();
-
-/// How per-worker forecasts are computed. The single source of truth
-/// behind the --forecast flag; predictions are bit-identical either way
-/// (DESIGN.md §4i).
-enum class ForecastMode {
-  kScalar,   // One scalar LstmCell chain per worker (parity reference).
-  kBatched,  // Fleet-wide SoA engine, fused gate kernels (default).
-};
-
-/// Canonical flag value ("scalar", "batched"); static storage, round-trips
-/// through ParseForecastMode.
-std::string_view ForecastModeName(ForecastMode mode);
-
-/// Inverse of ForecastModeName (case-insensitive); InvalidArgument for
-/// anything else, listing the accepted names.
-StatusOr<ForecastMode> ParseForecastMode(std::string_view name);
-
-/// Every ForecastMode, in flag-help order (scalar, batched).
-const std::vector<ForecastMode>& AllForecastModes();
-
-/// Which simulation engine replays the horizon. Both produce bit-identical
-/// SimMetrics on batch-replay workloads (the parity ctest); only the event
-/// engine supports mid-task dropout and reports events/second.
-enum class SimEngine {
-  kEvent,        // Event-queue core (default; DESIGN.md §4j).
-  kBatchReplay,  // The legacy batch-synchronous loop (parity reference).
-};
-
-/// Canonical flag value ("event", "batch"); static storage, round-trips
-/// through ParseSimEngine.
-std::string_view SimEngineName(SimEngine engine);
-
-/// Inverse of SimEngineName (case-insensitive); InvalidArgument for
-/// anything else, listing the accepted names.
-StatusOr<SimEngine> ParseSimEngine(std::string_view name);
-
-/// Every SimEngine, in flag-help order (event, batch).
-const std::vector<SimEngine>& AllSimEngines();
-
-/// How per-batch matchings are solved. The single source of truth behind
-/// the --sharding flag; plans are bit-identical either way (DESIGN.md
-/// §4k), with kOff kept as the parity reference the same way
-/// --candidates=dense and --forecast=scalar are.
-enum class ShardMode {
-  kOff,         // One global Hungarian solve per batch (default).
-  kComponents,  // Per-connected-component solves via ParallelFor.
-};
-
-/// Canonical flag value ("off", "components"); static storage, round-trips
-/// through ParseShardMode.
-std::string_view ShardModeName(ShardMode mode);
-
-/// Inverse of ShardModeName (case-insensitive); InvalidArgument for
-/// anything else, listing the accepted names.
-StatusOr<ShardMode> ParseShardMode(std::string_view name);
-
-/// Every ShardMode, in flag-help order (off, components).
-const std::vector<ShardMode>& AllShardModes();
 
 /// Batch-based online-stage settings (Table III: 2-minute windows, 10-min
 /// time units).
@@ -145,57 +62,20 @@ struct SimulatorConfig {
   /// the ablation bench); when false — the paper's behaviour — a rejected
   /// task simply returns to the pool and may be re-proposed to anyone.
   bool remember_declines = false;
-  /// Candidate generation (--candidates): dense sweep, per-batch spatial
-  /// index (default), or batch-to-batch incremental reuse. Plans — and
-  /// therefore every simulator metric — are bit-identical across modes;
-  /// kIncremental requires an AssignReuse holder at construction.
-  CandidateMode candidate_mode = CandidateMode::kIndexed;
-  /// Forecast path (--forecast): the fleet-wide SoA engine (default) or
-  /// the per-worker scalar rollout; bit-identical either way.
-  ForecastMode forecast_mode = ForecastMode::kBatched;
-  /// Simulation engine (--engine): the event-queue core (default) or the
-  /// legacy batch-synchronous loop kept as the parity reference.
-  SimEngine engine = SimEngine::kEvent;
-  /// Per-batch matching decomposition (--sharding): geo-sharded
-  /// per-component solves (kComponents) or the single global solve (kOff,
-  /// default — the parity reference). Plans are bit-identical either way.
-  ShardMode shard_mode = ShardMode::kOff;
   assign::PpiConfig ppi;
   assign::GgpsoConfig ggpso;
-
-  // -- Deprecated boolean mode switches (one release of compatibility). --
-  // The three independent bools only loosely mirrored --candidates /
-  // --forecast; the typed enums above are now the single source of truth.
-  [[deprecated("set candidate_mode = CandidateMode::{kIndexed,kDense}")]]
-  void set_use_spatial_index(bool on) {
-    candidate_mode = on ? CandidateMode::kIndexed : CandidateMode::kDense;
-  }
-  [[deprecated("set candidate_mode = CandidateMode::kIncremental")]]
-  void set_use_incremental(bool on) {
-    candidate_mode = on ? CandidateMode::kIncremental : CandidateMode::kIndexed;
-  }
-  [[deprecated("set forecast_mode = ForecastMode::{kBatched,kScalar}")]]
-  void set_use_batched_forecast(bool on) {
-    forecast_mode = on ? ForecastMode::kBatched : ForecastMode::kScalar;
-  }
 };
-
-/// Removes every task whose deadline has passed (deadline <= now) from the
-/// pending pool in a single pass, preserving the release order of the
-/// survivors. Returns the number of tasks dropped.
-size_t PurgeExpiredTasks(std::deque<assign::SpatialTask>& pool,
-                         double now_min);
 
 /// Aggregate outcome of one simulated horizon (the Fig. 6-11 metrics).
 struct SimMetrics {
   int total_tasks = 0;        // Tasks released over the horizon.
   int assignments = 0;        // |M| accumulated over batches.
   int accepted = 0;           // |M'|: assignments workers accepted.
-  int completed = 0;          // Tasks completed. Equal to `accepted` minus
-                              // `dropouts` (batch-replay workloads have no
-                              // dropout, so there accepted == completed).
+  int completed = 0;          // Tasks completed: `accepted` minus
+                              // `dropouts` (dropout-free workloads have
+                              // accepted == completed).
   int dropouts = 0;           // Accepted tasks aborted mid-service (churn
-                              // scenarios under the event engine).
+                              // scenarios).
   double total_cost_km = 0.0; // Sum of real detours of completed tasks.
   double assign_seconds = 0.0;// Pure assignment-algorithm running time.
 
@@ -220,21 +100,17 @@ struct WorkerPredictor {
   double matching_rate = 0.0;
 };
 
-/// The per-batch machinery both engines share: given the pending pool and
-/// the available worker indices at one instant, forecast the fleet's
-/// routines, run the chosen assignment algorithm, and simulate the
+/// The per-batch machinery of one assignment trigger: given the pending
+/// pool and the available worker indices at one instant, forecast the
+/// fleet's routines, run the chosen assignment algorithm, and simulate the
 /// workers' accept/reject decisions against their real trajectories.
 /// Owning it once per run keeps the fleet forecast scratch warm across
-/// batches; because both engines call the exact same code with the exact
-/// same inputs, event-driven metrics are bit-identical to batch-replay by
-/// construction (the parity ctest pins the remaining state-machine
-/// translation).
+/// batches.
 class BatchAssignStep {
  public:
   BatchAssignStep(const data::Workload& workload,
                   const nn::EncoderDecoder& model,
-                  const SimulatorConfig& config,
-                  assign::AssignReuse* reuse);
+                  const SimulatorConfig& config);
 
   /// One accepted assignment: the workload worker index, the task, the
   /// real detour, and when the worker's service ends.
@@ -245,7 +121,7 @@ class BatchAssignStep {
     double busy_until_min = 0.0;
   };
 
-  /// Everything one batch decided, in plan order. The engine applies it to
+  /// Everything one batch decided, in plan order. The caller applies it to
   /// its own state (metrics, busy/pool bookkeeping, decline memory).
   struct Outcome {
     int assignments = 0;       // |M| this batch proposed.
@@ -267,13 +143,11 @@ class BatchAssignStep {
 
  private:
   const data::Workload& workload_;
-  const nn::EncoderDecoder& model_;
   const SimulatorConfig& config_;
-  assign::AssignReuse* reuse_ = nullptr;  // Not owned; may be null.
   /// Observation window length (matches the training seq_in).
   int observe_steps_ = 5;
   /// Fleet-batched forecast engine + its cross-batch scratch (SoA windows,
-  /// tile plan, gate matrices); only touched when forecast_mode==kBatched.
+  /// tile plan, gate matrices).
   nn::BatchedSeq2Seq batched_model_;
   FleetForecastScratch forecast_scratch_;
   std::vector<const std::vector<double>*> forecast_params_;
@@ -291,19 +165,12 @@ class BatchAssignStep {
 ///
 /// Run() is a thin client of the event-queue core (DESIGN.md §4j): it
 /// enqueues one assignment-trigger event per batch window and lets the
-/// EventSimulator drain the queue. config.engine == kBatchReplay instead
-/// runs the legacy batch-synchronous loop, kept as the bitwise parity
-/// reference.
+/// EventSimulator drain the queue.
 class BatchSimulator {
  public:
-  /// `reuse` (optional) is the cross-batch reuse holder consumed when
-  /// config.candidate_mode == kIncremental; it may outlive the simulator
-  /// (the pipeline keeps one across runs so later runs revisiting the same
-  /// batch instants hit its row cache).
   BatchSimulator(const data::Workload& workload,
                  const nn::EncoderDecoder& model,
-                 const SimulatorConfig& config,
-                 assign::AssignReuse* reuse = nullptr);
+                 const SimulatorConfig& config);
 
   /// Runs the full horizon with one method. `predictors` is index-aligned
   /// with the workload's workers; prediction-free methods (UB, LB) ignore
@@ -312,14 +179,8 @@ class BatchSimulator {
                  const std::vector<WorkerPredictor>& predictors);
 
  private:
-  /// The legacy batch-synchronous loop (the parity reference).
-  SimMetrics RunBatchReplay(AssignMethod method,
-                            const std::vector<WorkerPredictor>& predictors);
-
   const data::Workload& workload_;
-  const nn::EncoderDecoder& model_;
   SimulatorConfig config_;
-  assign::AssignReuse* reuse_ = nullptr;  // Not owned; may be null.
   BatchAssignStep step_;
 };
 

@@ -31,9 +31,9 @@ struct AssignmentResult {
 };
 
 /// Reusable working set for the matchers below. Hot callers that solve
-/// many matchings per batch (PPI's per-epsilon-batch KM calls) keep one of
-/// these across calls so the O(n^2) potentials/matrix buffers are
-/// allocated once and recycled; results are identical with or without a
+/// many matchings per batch (the sharded solver's per-thread shard solves)
+/// keep one of these across calls so the O(n^2) potentials/matrix buffers
+/// are allocated once and recycled; results are identical with or without a
 /// scratch. Not thread-safe: one scratch per calling thread.
 struct MatchingScratch {
   // MinCostAssignment working vectors.
@@ -45,61 +45,15 @@ struct MatchingScratch {
   std::vector<std::vector<double>> cost;
 };
 
-/// Cross-solve warm-start state for MinCostAssignment. The KM inner loop
-/// processes cost rows 1..n in order, and the algorithm state after row k
-/// — the potentials (u, v) and the partial column assignment p — is a pure
-/// function of rows 1..k (minv/used/way are per-row temporaries). A warm
-/// holder therefore keeps the previous solve's cost matrix plus a
-/// checkpoint of (u, v, p) after every processed row; the next solve finds
-/// the longest bitwise-equal row prefix against its own cost matrix,
-/// restores the checkpoint at the end of that prefix, and resumes from the
-/// first differing row. Skipped rows re-use — not re-derive — the exact
-/// state the cold run would have computed, so warm results are
-/// bit-identical to cold ones (pinned by matching_hungarian_test).
-///
-/// Shape and ordering safety: because resume is gated on a *bitwise* row-
-/// prefix match against the stored cost matrix (and each checkpoint is a
-/// pure function of those rows), a solve whose columns mean different
-/// things — a worker migrated between shards, a column permutation, a
-/// different width — simply matches a shorter (possibly empty) prefix and
-/// recomputes from there; it can never silently resume against a stale
-/// column ordering (pinned by matching_hungarian_test /
-/// assign_sharding_test's permutation regressions).
-///
-/// One holder per *recurring solve site* (e.g. the per-batch KM call of
-/// one assigner), not per thread: the holder mutates on every solve.
-struct KmWarmState {
-  /// Cost matrix of the previous tracked solve; empty before the first.
-  std::vector<std::vector<double>> prev_cost;
-  /// checkpoints[k] is the state after processing row k+1: u truncated to
-  /// its touched prefix [0, k+1], and full v/p (cols + 1 entries each).
-  struct RowCheckpoint {
-    std::vector<double> u, v;
-    std::vector<std::size_t> p;
-  };
-  std::vector<RowCheckpoint> checkpoints;
-  /// Solves whose padded dimension exceeds this bypass warm tracking
-  /// entirely (the O(n^2) checkpoint copies would outgrow the resume win).
-  std::size_t max_dim = 256;
-};
-
 /// Minimum-cost perfect assignment of every row to a distinct column via
 /// the Kuhn-Munkres potentials/shortest-augmenting-path algorithm, O(r^2 c).
 /// Requires a rectangular matrix with rows() <= cols() and finite costs.
 /// A 0-row matrix is a degenerate no-op: the empty result is returned
-/// without touching `scratch` or `warm` (so state from a previous larger
-/// solve stays resumable).
+/// without touching `scratch`.
 /// This is the computational core shared by MaxWeightMatching and the exact
 /// 2-D Wasserstein distance. `scratch` may be null (per-call buffers).
-///
-/// With a non-null `warm`, consecutive solves sharing a row prefix resume
-/// mid-algorithm instead of starting from zero potentials (see
-/// KmWarmState); rows skipped this way are counted on the
-/// assign.km_warm_rounds obs counter. Results are identical with or
-/// without warm state.
 AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
-                                   MatchingScratch* scratch = nullptr,
-                                   KmWarmState* warm = nullptr);
+                                   MatchingScratch* scratch = nullptr);
 
 /// Maximum-weight bipartite matching via the Kuhn-Munkres algorithm
 /// ([35], [36] in the paper) with potentials and shortest augmenting paths,
@@ -107,13 +61,10 @@ AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
 /// pairs connected by a real (positive-weight) input edge are reported.
 ///
 /// `num_left`/`num_right` bound the vertex ids appearing in `edges`.
-/// Duplicate edges keep the maximum weight. `scratch` may be null; `warm`
-/// (see MinCostAssignment) accelerates a solve whose padded cost matrix
-/// shares a row prefix with the previous solve through the same holder.
+/// Duplicate edges keep the maximum weight. `scratch` may be null.
 MatchResult MaxWeightMatching(int num_left, int num_right,
                               const std::vector<Edge>& edges,
-                              MatchingScratch* scratch = nullptr,
-                              KmWarmState* warm = nullptr);
+                              MatchingScratch* scratch = nullptr);
 
 /// Greedy descending-weight matching; used as a test oracle bound (the
 /// greedy total is always <= the KM total) and a cheap fallback.

@@ -6,9 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "assign/candidates.h"
-#include "assign/ggpso.h"
-#include "assign/km_assigner.h"
-#include "assign/ppi.h"
 #include "common/obs/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -62,6 +59,23 @@ void RandomBatch(tamp::Rng& rng, int num_tasks, int num_workers,
   }
 }
 
+/// Bitwise table equality: the dense sweep (`index == nullptr`) is the
+/// oracle of the indexed path every assigner runs.
+void ExpectSameTable(const std::vector<std::vector<TaskCandidate>>& dense,
+                     const std::vector<std::vector<TaskCandidate>>& indexed) {
+  ASSERT_EQ(dense.size(), indexed.size());
+  for (size_t t = 0; t < dense.size(); ++t) {
+    ASSERT_EQ(dense[t].size(), indexed[t].size()) << "task " << t;
+    for (size_t k = 0; k < dense[t].size(); ++k) {
+      EXPECT_EQ(dense[t][k].worker, indexed[t][k].worker);
+      EXPECT_EQ(dense[t][k].b_count, indexed[t][k].b_count);
+      EXPECT_EQ(dense[t][k].min_b, indexed[t][k].min_b);
+      EXPECT_EQ(dense[t][k].min_dis, indexed[t][k].min_dis);
+      EXPECT_EQ(dense[t][k].stage3_feasible, indexed[t][k].stage3_feasible);
+    }
+  }
+}
+
 TEST(CandidateIndexTest, QueryIsSupersetOfAcceptingWorkers) {
   // The contract everything rests on: any worker whose EvaluateCandidate
   // outcome matters (non-empty B or stage-3 feasible) must be returned by
@@ -103,17 +117,7 @@ TEST(CandidateIndexTest, GenerateCandidatesDenseIndexedParity) {
                                     &dense_stats);
     auto indexed = GenerateCandidates(tasks, workers, a, now, &index,
                                       &indexed_stats);
-    ASSERT_EQ(dense.size(), indexed.size());
-    for (size_t t = 0; t < dense.size(); ++t) {
-      ASSERT_EQ(dense[t].size(), indexed[t].size()) << "task " << t;
-      for (size_t k = 0; k < dense[t].size(); ++k) {
-        EXPECT_EQ(dense[t][k].worker, indexed[t][k].worker);
-        EXPECT_EQ(dense[t][k].b_count, indexed[t][k].b_count);
-        EXPECT_EQ(dense[t][k].min_b, indexed[t][k].min_b);
-        EXPECT_EQ(dense[t][k].min_dis, indexed[t][k].min_dis);
-        EXPECT_EQ(dense[t][k].stage3_feasible, indexed[t][k].stage3_feasible);
-      }
-    }
+    ExpectSameTable(dense, indexed);
     EXPECT_EQ(dense_stats.evaluated,
               static_cast<int64_t>(tasks.size() * workers.size()));
     EXPECT_EQ(dense_stats.pruned, 0);
@@ -164,11 +168,12 @@ TEST(CandidateIndexTest, ExpiredTaskPrunesEveryWorker) {
   EXPECT_TRUE(hits.empty());
 }
 
-/// Workload-scale plan parity. Workers' platform-visible routines are
+/// Workload-scale table parity. Workers' platform-visible routines are
 /// synthesized from their real test trajectories (sampled forward from
 /// `now`), so the batch has the spatial structure of the paper's datasets
-/// without running the NN forecaster.
-class PlanParityTest : public ::testing::TestWithParam<data::WorkloadKind> {
+/// without running the NN forecaster. KM, PPI and GGPSO all build their
+/// plans from this one table, so table parity is plan parity.
+class TableParityTest : public ::testing::TestWithParam<data::WorkloadKind> {
  protected:
   struct Batch {
     std::vector<SpatialTask> tasks;
@@ -211,75 +216,28 @@ class PlanParityTest : public ::testing::TestWithParam<data::WorkloadKind> {
     }
     return batch;
   }
-
-  static void ExpectSamePlan(const AssignmentPlan& a,
-                             const AssignmentPlan& b) {
-    ASSERT_EQ(a.pairs.size(), b.pairs.size());
-    for (size_t i = 0; i < a.pairs.size(); ++i) {
-      EXPECT_EQ(a.pairs[i].task_index, b.pairs[i].task_index);
-      EXPECT_EQ(a.pairs[i].worker_index, b.pairs[i].worker_index);
-      // Bit-identical, not approximately equal: the indexed path must
-      // evaluate exactly the same arithmetic on the surviving pairs.
-      EXPECT_EQ(a.pairs[i].expected_detour_km, b.pairs[i].expected_detour_km);
-    }
-  }
 };
 
-TEST_P(PlanParityTest, PpiDenseAndIndexedBitIdentical) {
+TEST_P(TableParityTest, DenseAndIndexedTablesBitIdentical) {
   Batch batch = BuildBatch(GetParam());
   ASSERT_FALSE(batch.tasks.empty());
-  PpiConfig dense_config;
-  dense_config.use_spatial_index = false;
-  PpiConfig indexed_config;
-  indexed_config.use_spatial_index = true;
   for (int threads : {1, 4}) {
     SetParallelThreadCount(threads);
-    AssignmentPlan dense =
-        PpiAssign(batch.tasks, batch.workers, batch.now, dense_config);
-    AssignmentPlan indexed =
-        PpiAssign(batch.tasks, batch.workers, batch.now, indexed_config);
-    EXPECT_FALSE(dense.pairs.empty());
-    ExpectSamePlan(dense, indexed);
+    const CandidateIndex index(batch.workers);
+    const auto dense = GenerateCandidates(batch.tasks, batch.workers,
+                                          /*match_radius_km=*/1.0, batch.now,
+                                          nullptr);
+    const auto indexed = GenerateCandidates(batch.tasks, batch.workers, 1.0,
+                                            batch.now, &index);
+    size_t rows = 0;
+    for (const auto& row : dense) rows += row.size();
+    EXPECT_GT(rows, 0u);
+    ExpectSameTable(dense, indexed);
   }
   SetParallelThreadCount(0);
 }
 
-TEST_P(PlanParityTest, KmDenseAndIndexedBitIdentical) {
-  Batch batch = BuildBatch(GetParam());
-  for (int threads : {1, 4}) {
-    SetParallelThreadCount(threads);
-    AssignmentPlan dense =
-        KmAssign(batch.tasks, batch.workers, batch.now, /*match_radius_km=*/1.0,
-                 /*weight_floor_km=*/1e-3, /*use_spatial_index=*/false);
-    AssignmentPlan indexed =
-        KmAssign(batch.tasks, batch.workers, batch.now, 1.0, 1e-3, true);
-    EXPECT_FALSE(dense.pairs.empty());
-    ExpectSamePlan(dense, indexed);
-  }
-  SetParallelThreadCount(0);
-}
-
-TEST_P(PlanParityTest, GgpsoDenseAndIndexedBitIdentical) {
-  Batch batch = BuildBatch(GetParam());
-  GgpsoConfig dense_config;
-  dense_config.generations = 15;
-  dense_config.population = 12;
-  dense_config.use_spatial_index = false;
-  GgpsoConfig indexed_config = dense_config;
-  indexed_config.use_spatial_index = true;
-  for (int threads : {1, 4}) {
-    SetParallelThreadCount(threads);
-    AssignmentPlan dense =
-        GgpsoAssign(batch.tasks, batch.workers, batch.now, dense_config);
-    AssignmentPlan indexed =
-        GgpsoAssign(batch.tasks, batch.workers, batch.now, indexed_config);
-    EXPECT_FALSE(dense.pairs.empty());
-    ExpectSamePlan(dense, indexed);
-  }
-  SetParallelThreadCount(0);
-}
-
-TEST_P(PlanParityTest, IndexActuallyPrunes) {
+TEST_P(TableParityTest, IndexActuallyPrunes) {
   // Guard against the parity tests passing vacuously because the prune
   // radius covers the whole map: on both workloads the index must skip a
   // substantial share of the dense pairs.
@@ -293,7 +251,7 @@ TEST_P(PlanParityTest, IndexActuallyPrunes) {
             static_cast<int64_t>(batch.tasks.size() * batch.workers.size()));
 }
 
-INSTANTIATE_TEST_SUITE_P(Workloads, PlanParityTest,
+INSTANTIATE_TEST_SUITE_P(Workloads, TableParityTest,
                          ::testing::Values(
                              data::WorkloadKind::kPortoDidi,
                              data::WorkloadKind::kGowallaFoursquare),

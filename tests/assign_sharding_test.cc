@@ -6,10 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "assign/ggpso.h"
-#include "assign/incremental.h"
+#include "assign/candidate_index.h"
+#include "assign/candidates.h"
 #include "assign/km_assigner.h"
-#include "assign/ppi.h"
 #include "common/obs/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -18,14 +17,6 @@
 
 namespace tamp::assign {
 namespace {
-
-SpatialTask MakeTask(int id, geo::Point loc, double deadline) {
-  SpatialTask t;
-  t.id = id;
-  t.location = loc;
-  t.deadline_min = deadline;
-  return t;
-}
 
 CandidateWorker MakeWorker(int id, std::vector<geo::TimedPoint> predicted,
                            geo::Point current, double detour_km, double speed,
@@ -38,21 +29,6 @@ CandidateWorker MakeWorker(int id, std::vector<geo::TimedPoint> predicted,
   w.speed_kmpm = speed;
   w.matching_rate = mr;
   return w;
-}
-
-/// Batch vectors whose ids equal their indices — enough for signature and
-/// plan-structure tests that never evaluate geometry.
-void IdentityBatch(int num_tasks, int num_workers,
-                   std::vector<SpatialTask>* tasks,
-                   std::vector<CandidateWorker>* workers) {
-  tasks->clear();
-  workers->clear();
-  for (int t = 0; t < num_tasks; ++t) {
-    tasks->push_back(MakeTask(t, {0.0, 0.0}, 100.0));
-  }
-  for (int w = 0; w < num_workers; ++w) {
-    workers->push_back(MakeWorker(w, {}, {0.0, 0.0}, 4.0, 0.5, 0.5));
-  }
 }
 
 /// A candidate table holding exactly the given (task, worker) rows.
@@ -78,15 +54,12 @@ std::vector<std::vector<TaskCandidate>> TableFromRows(
 TEST(ShardPlanTest, ComponentsMembershipAndCountersOnHandBuiltTable) {
   // t0-w0, t0-w1, t1-w1 form one component; t2-w3 a second; t3 has no rows
   // and w2/w4 are never referenced, so all three stay unsharded.
-  std::vector<SpatialTask> tasks;
-  std::vector<CandidateWorker> workers;
-  IdentityBatch(4, 5, &tasks, &workers);
   auto table = TableFromRows(4, {{0, 0}, {0, 1}, {1, 1}, {2, 3}});
 
   obs::Counter& count_counter =
       obs::MetricsRegistry::Global().GetCounter("assign.shard_count");
   const int64_t count_before = count_counter.value();
-  ShardPlan plan = BuildShardPlan(table, tasks, workers);
+  ShardPlan plan = BuildShardPlan(table, /*num_workers=*/5);
   EXPECT_EQ(count_counter.value() - count_before, 2);
 
   ASSERT_EQ(plan.shards.size(), 2u);
@@ -102,63 +75,19 @@ TEST(ShardPlanTest, ComponentsMembershipAndCountersOnHandBuiltTable) {
   EXPECT_EQ(plan.shard_of_worker, (std::vector<int>{0, 0, -1, 1, -1}));
   EXPECT_EQ(plan.total_rows, 4);
   EXPECT_EQ(plan.max_rows, 3);
-  EXPECT_NE(plan.shards[0].signature, plan.shards[1].signature);
 }
 
 TEST(ShardPlanTest, LptOrdersShardsByCostDescending) {
   // First-appearing component is the cheap one; LPT must still put the
   // expensive one first.
-  std::vector<SpatialTask> tasks;
-  std::vector<CandidateWorker> workers;
-  IdentityBatch(4, 4, &tasks, &workers);
   auto table =
       TableFromRows(4, {{0, 0}, {1, 1}, {1, 2}, {2, 1}, {3, 2}});
-  ShardPlan plan = BuildShardPlan(table, tasks, workers);
+  ShardPlan plan = BuildShardPlan(table, /*num_workers=*/4);
   ASSERT_EQ(plan.shards.size(), 2u);
   EXPECT_GT(plan.shards[0].cost, plan.shards[1].cost);
   EXPECT_EQ(plan.shards[0].tasks, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(plan.shards[1].tasks, (std::vector<int>{0}));
   EXPECT_EQ(plan.shard_of_task, (std::vector<int>{1, 0, 0, 0}));
-}
-
-TEST(ShardPlanTest, SignatureTracksStableIdsNotBatchPositions) {
-  // The same membership (by id) reshuffled to different batch positions
-  // keeps its signature; adding one worker to the membership changes it.
-  std::vector<SpatialTask> tasks;
-  std::vector<CandidateWorker> workers;
-  IdentityBatch(2, 3, &tasks, &workers);
-  auto table_a = TableFromRows(2, {{0, 0}, {0, 1}, {1, 1}});
-  ShardPlan plan_a = BuildShardPlan(table_a, tasks, workers);
-  ASSERT_EQ(plan_a.shards.size(), 1u);
-
-  // Same ids, permuted worker batch order: worker id 0 now at index 2,
-  // id 1 at index 0, and an unrelated id 2 at index 1.
-  std::vector<CandidateWorker> permuted = {workers[1], workers[2],
-                                           workers[0]};
-  auto table_b = TableFromRows(2, {{0, 0}, {0, 2}, {1, 0}});
-  ShardPlan plan_b = BuildShardPlan(table_b, tasks, permuted);
-  ASSERT_EQ(plan_b.shards.size(), 1u);
-  EXPECT_EQ(plan_a.shards[0].signature, plan_b.shards[0].signature);
-
-  // Grow the membership by worker id 2: different signature.
-  auto table_c = TableFromRows(2, {{0, 0}, {0, 1}, {1, 1}, {1, 2}});
-  ShardPlan plan_c = BuildShardPlan(table_c, tasks, workers);
-  ASSERT_EQ(plan_c.shards.size(), 1u);
-  EXPECT_NE(plan_a.shards[0].signature, plan_c.shards[0].signature);
-}
-
-TEST(ShardWarmPoolTest, EvictsOnlyWhenTheIncomingBatchWouldOverflow) {
-  ShardWarmPool pool;
-  pool.BeginBatch(2);
-  matching::KmWarmState* a = pool.Acquire(1);
-  matching::KmWarmState* b = pool.Acquire(2);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool.size(), 2u);
-  pool.BeginBatch(10);  // Fits: nothing evicted, holders stable.
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_EQ(pool.Acquire(1), a);
-  pool.BeginBatch(4095);  // 2 + 4095 > 4096: everything evicted.
-  EXPECT_EQ(pool.size(), 0u);
 }
 
 void ExpectSameMatch(const matching::MatchResult& a,
@@ -196,11 +125,8 @@ TEST(ShardedMatchingTest, BruteForceRandomGraphParityAtEveryThreadCount) {
       // A non-positive edge: both solvers drop it (no table row needed).
       edges.push_back({rows[0].first, rows[0].second, 0.0});
     }
-    std::vector<SpatialTask> tasks;
-    std::vector<CandidateWorker> workers;
-    IdentityBatch(num_tasks, num_workers, &tasks, &workers);
     auto table = TableFromRows(num_tasks, rows);
-    ShardPlan plan = BuildShardPlan(table, tasks, workers);
+    ShardPlan plan = BuildShardPlan(table, num_workers);
 
     matching::MatchResult global =
         matching::MaxWeightMatching(num_tasks, num_workers, edges);
@@ -214,69 +140,9 @@ TEST(ShardedMatchingTest, BruteForceRandomGraphParityAtEveryThreadCount) {
   }
 }
 
-TEST(ShardedMatchingTest, WarmPoolUnderWorkerPermutationStaysBitIdentical) {
-  // Satellite-1 regression: the same memberships come back batch after
-  // batch but the worker *batch order* permutes — so the warm holder found
-  // by signature faces a different column ordering. The bitwise row-prefix
-  // gate must recompute rather than silently resume, keeping the plan
-  // identical to the cold and global solves on every batch.
-  tamp::Rng rng(4242);
-  const int num_tasks = 10, num_workers = 12;
-  // Id-level weights, fixed across batches.
-  std::vector<std::vector<double>> weight_of_ids(
-      num_tasks, std::vector<double>(num_workers, 0.0));
-  for (int t = 0; t < num_tasks; ++t) {
-    for (int w = 0; w < num_workers; ++w) {
-      if (rng.Bernoulli(0.3)) weight_of_ids[t][w] = rng.Uniform(0.1, 5.0);
-    }
-  }
-  std::vector<SpatialTask> tasks;
-  std::vector<CandidateWorker> id_workers;
-  IdentityBatch(num_tasks, num_workers, &tasks, &id_workers);
-
-  ShardWarmPool pool;
-  std::vector<int> perm(static_cast<size_t>(num_workers));
-  for (int w = 0; w < num_workers; ++w) perm[static_cast<size_t>(w)] = w;
-  for (int batch = 0; batch < 6; ++batch) {
-    // A fresh worker order each batch (batch 0 is the identity).
-    if (batch > 0) rng.Shuffle(perm);
-    std::vector<CandidateWorker> workers;
-    for (int idx : perm) {
-      workers.push_back(id_workers[static_cast<size_t>(idx)]);
-    }
-    std::vector<matching::Edge> edges;
-    std::vector<std::pair<int, int>> rows;
-    for (int t = 0; t < num_tasks; ++t) {
-      for (int w = 0; w < num_workers; ++w) {
-        const int id = workers[static_cast<size_t>(w)].id;
-        const double weight =
-            weight_of_ids[static_cast<size_t>(t)][static_cast<size_t>(id)];
-        if (weight <= 0.0) continue;
-        edges.push_back({t, w, weight});
-        rows.emplace_back(t, w);
-      }
-    }
-    auto table = TableFromRows(num_tasks, rows);
-    ShardPlan plan = BuildShardPlan(table, tasks, workers);
-    matching::MatchResult global =
-        matching::MaxWeightMatching(num_tasks, num_workers, edges);
-    matching::MatchResult cold =
-        ShardedMaxWeightMatching(num_tasks, num_workers, edges, plan);
-    matching::MatchResult warm = ShardedMaxWeightMatching(
-        num_tasks, num_workers, edges, plan, &pool);
-    ExpectSameMatch(global, cold);
-    ExpectSameMatch(global, warm);
-    EXPECT_GT(pool.size(), 0u);
-  }
-}
-
 TEST(ShardedMatchingTest, DegenerateInputsReturnEmptyWithoutSolving) {
-  std::vector<SpatialTask> tasks;
-  std::vector<CandidateWorker> workers;
-
   // Empty everything.
-  IdentityBatch(0, 0, &tasks, &workers);
-  ShardPlan empty_plan = BuildShardPlan({}, tasks, workers);
+  ShardPlan empty_plan = BuildShardPlan({}, /*num_workers=*/0);
   EXPECT_TRUE(empty_plan.shards.empty());
   matching::MatchResult r = ShardedMaxWeightMatching(0, 0, {}, empty_plan);
   EXPECT_TRUE(r.pairs.empty());
@@ -284,9 +150,8 @@ TEST(ShardedMatchingTest, DegenerateInputsReturnEmptyWithoutSolving) {
 
   // Rows exist but every edge weight is non-positive: all shards end up
   // edgeless and the result is empty, exactly like the global matcher.
-  IdentityBatch(2, 2, &tasks, &workers);
   auto table = TableFromRows(2, {{0, 0}, {1, 1}});
-  ShardPlan plan = BuildShardPlan(table, tasks, workers);
+  ShardPlan plan = BuildShardPlan(table, /*num_workers=*/2);
   ASSERT_EQ(plan.shards.size(), 2u);
   std::vector<matching::Edge> filtered = {{0, 0, 0.0}, {1, 1, -1.0}};
   r = ShardedMaxWeightMatching(2, 2, filtered, plan);
@@ -294,9 +159,8 @@ TEST(ShardedMatchingTest, DegenerateInputsReturnEmptyWithoutSolving) {
   EXPECT_EQ(r.total_weight, 0.0);
 
   // 1xN: one task, several workers — a single-shard matching.
-  IdentityBatch(1, 3, &tasks, &workers);
   auto one_row = TableFromRows(1, {{0, 0}, {0, 1}, {0, 2}});
-  ShardPlan one_plan = BuildShardPlan(one_row, tasks, workers);
+  ShardPlan one_plan = BuildShardPlan(one_row, /*num_workers=*/3);
   std::vector<matching::Edge> one_edges = {
       {0, 0, 1.0}, {0, 1, 3.0}, {0, 2, 2.0}};
   matching::MatchResult one =
@@ -308,10 +172,202 @@ TEST(ShardedMatchingTest, DegenerateInputsReturnEmptyWithoutSolving) {
   EXPECT_EQ(one.pairs[0], (std::pair<int, int>{0, 1}));
 }
 
-/// Workload-scale sharded-vs-global plan parity (the ISSUE acceptance
-/// gate): KM, PPI, and GGPSO on Porto and Gowalla batches at 1 and 4
-/// threads, with and without incremental reuse. Mirrors the churn schedule
-/// of assign_incremental_test's IncrementalPlanParityTest.
+
+// ---------------------------------------------------------------------------
+// Brute-force oracle: exhaustive enumeration on instances up to 7 x 7.
+// ---------------------------------------------------------------------------
+
+/// Effective weight of every (left, right) pair: the maximum over duplicate
+/// edges, 0 when the pair has no edge. Non-positive edges are not edges.
+std::vector<std::vector<double>> EffectiveWeights(
+    int num_left, int num_right, const std::vector<matching::Edge>& edges) {
+  std::vector<std::vector<double>> weight(
+      static_cast<size_t>(num_left),
+      std::vector<double>(static_cast<size_t>(num_right), 0.0));
+  for (const matching::Edge& e : edges) {
+    if (e.weight <= 0.0) continue;
+    double& cell =
+        weight[static_cast<size_t>(e.left)][static_cast<size_t>(e.right)];
+    cell = std::max(cell, e.weight);
+  }
+  return weight;
+}
+
+/// The optimum total weight over every matching, by enumerating each left
+/// vertex's choice (unmatched, or any free right vertex it has an edge to).
+double BruteForceOptimum(const std::vector<std::vector<double>>& weight,
+                         size_t left, std::vector<char>& right_used) {
+  if (left == weight.size()) return 0.0;
+  double best = BruteForceOptimum(weight, left + 1, right_used);
+  for (size_t r = 0; r < right_used.size(); ++r) {
+    if (right_used[r] || weight[left][r] <= 0.0) continue;
+    right_used[r] = 1;
+    best = std::max(best, weight[left][r] +
+                              BruteForceOptimum(weight, left + 1, right_used));
+    right_used[r] = 0;
+  }
+  return best;
+}
+
+/// The matching is valid (each vertex at most once), reports only real
+/// positive-weight edges, sums to its own total_weight, and reaches the
+/// enumerated optimum.
+void ExpectOptimalMatching(const matching::MatchResult& result,
+                           const std::vector<std::vector<double>>& weight,
+                           int num_right, double optimum,
+                           const char* solver) {
+  std::vector<char> left_used(weight.size(), 0);
+  std::vector<char> right_used(static_cast<size_t>(num_right), 0);
+  double sum = 0.0;
+  for (auto [l, r] : result.pairs) {
+    ASSERT_GE(l, 0) << solver;
+    ASSERT_LT(static_cast<size_t>(l), weight.size()) << solver;
+    ASSERT_GE(r, 0) << solver;
+    ASSERT_LT(r, num_right) << solver;
+    EXPECT_FALSE(left_used[static_cast<size_t>(l)]) << solver << " left " << l;
+    EXPECT_FALSE(right_used[static_cast<size_t>(r)])
+        << solver << " right " << r;
+    left_used[static_cast<size_t>(l)] = 1;
+    right_used[static_cast<size_t>(r)] = 1;
+    const double w = weight[static_cast<size_t>(l)][static_cast<size_t>(r)];
+    EXPECT_GT(w, 0.0) << solver << " reported a non-edge (" << l << ", " << r
+                      << ")";
+    sum += w;
+  }
+  EXPECT_NEAR(result.total_weight, sum, 1e-9) << solver;
+  EXPECT_NEAR(result.total_weight, optimum, 1e-9) << solver;
+}
+
+struct OracleInstance {
+  int num_left = 0;
+  int num_right = 0;
+  std::vector<matching::Edge> edges;
+  /// Candidate-table rows: every positive edge's pair, plus rows that carry
+  /// no edge (KM and PPI solve edge subsets of the table).
+  std::vector<std::pair<int, int>> rows;
+};
+
+/// A random instance. `tied` draws weights from {1, 2, 3} so optima are
+/// rarely unique; otherwise weights are continuous. Some left vertices get
+/// only non-positive edges (all-filtered rows), and some pairs carry
+/// duplicate edges.
+OracleInstance RandomOracleInstance(tamp::Rng& rng, int num_left,
+                                    int num_right, bool tied) {
+  OracleInstance inst;
+  inst.num_left = num_left;
+  inst.num_right = num_right;
+  const double density = rng.Uniform(0.2, 0.9);
+  for (int l = 0; l < num_left; ++l) {
+    const bool filtered = rng.Bernoulli(0.15);
+    for (int r = 0; r < num_right; ++r) {
+      if (!rng.Bernoulli(density)) continue;
+      inst.rows.emplace_back(l, r);
+      if (filtered) {
+        inst.edges.push_back({l, r, rng.Bernoulli(0.5) ? 0.0 : -1.0});
+        continue;
+      }
+      if (rng.Bernoulli(0.1)) continue;  // A table row without an edge.
+      const double w = tied ? static_cast<double>(rng.UniformInt(1, 3))
+                            : rng.Uniform(0.1, 5.0);
+      inst.edges.push_back({l, r, w});
+      if (rng.Bernoulli(0.1)) {
+        inst.edges.push_back(
+            {l, r, tied ? static_cast<double>(rng.UniformInt(1, 3))
+                        : rng.Uniform(0.1, 5.0)});
+      }
+    }
+  }
+  return inst;
+}
+
+void ExpectBothSolversOptimal(const OracleInstance& inst) {
+  const auto weight =
+      EffectiveWeights(inst.num_left, inst.num_right, inst.edges);
+  std::vector<char> right_used(static_cast<size_t>(inst.num_right), 0);
+  const double optimum = BruteForceOptimum(weight, 0, right_used);
+  ExpectOptimalMatching(
+      matching::MaxWeightMatching(inst.num_left, inst.num_right, inst.edges),
+      weight, inst.num_right, optimum, "MaxWeightMatching");
+  const ShardPlan plan =
+      BuildShardPlan(TableFromRows(inst.num_left, inst.rows), inst.num_right);
+  for (int threads : {1, 4}) {
+    SetParallelThreadCount(threads);
+    ExpectOptimalMatching(ShardedMaxWeightMatching(inst.num_left,
+                                                   inst.num_right, inst.edges,
+                                                   plan),
+                          weight, inst.num_right, optimum,
+                          "ShardedMaxWeightMatching");
+  }
+  SetParallelThreadCount(0);
+}
+
+TEST(BruteForceOracleTest, RandomInstancesUpToSevenBySeven) {
+  tamp::Rng rng(2027);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int num_left = static_cast<int>(rng.UniformInt(1, 7));
+    const int num_right = static_cast<int>(rng.UniformInt(1, 7));
+    ExpectBothSolversOptimal(
+        RandomOracleInstance(rng, num_left, num_right, /*tied=*/false));
+  }
+}
+
+TEST(BruteForceOracleTest, TiedWeightsStillReachTheOptimum) {
+  // Weights from {1, 2, 3}: many optimal matchings, so the sharded and
+  // global solves may pick different pair sets. Both must still be valid
+  // and reach the same optimal total.
+  tamp::Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int num_left = static_cast<int>(rng.UniformInt(1, 7));
+    const int num_right = static_cast<int>(rng.UniformInt(1, 7));
+    ExpectBothSolversOptimal(
+        RandomOracleInstance(rng, num_left, num_right, /*tied=*/true));
+  }
+}
+
+TEST(BruteForceOracleTest, TasksFarOutnumberWorkers) {
+  // The surge shape: many pooled tasks against one or two free workers.
+  tamp::Rng rng(31);
+  for (int trial = 0; trial < 100; ++trial) {
+    const int num_right = static_cast<int>(rng.UniformInt(1, 2));
+    ExpectBothSolversOptimal(
+        RandomOracleInstance(rng, 7, num_right, rng.Bernoulli(0.5)));
+  }
+}
+
+TEST(BruteForceOracleTest, EmptySidesAndAllFilteredRows) {
+  for (auto [num_left, num_right] :
+       {std::pair{0, 0}, std::pair{0, 5}, std::pair{5, 0}}) {
+    OracleInstance inst;
+    inst.num_left = num_left;
+    inst.num_right = num_right;
+    ExpectBothSolversOptimal(inst);
+  }
+  // Every row present, every edge non-positive: the optimum is the empty
+  // matching.
+  OracleInstance filtered;
+  filtered.num_left = 3;
+  filtered.num_right = 3;
+  for (int l = 0; l < 3; ++l) {
+    for (int r = 0; r < 3; ++r) {
+      filtered.rows.emplace_back(l, r);
+      filtered.edges.push_back({l, r, (l + r) % 2 == 0 ? 0.0 : -2.5});
+    }
+  }
+  ExpectBothSolversOptimal(filtered);
+  EXPECT_TRUE(
+      matching::MaxWeightMatching(3, 3, filtered.edges).pairs.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Workload-scale parity: ShardedMaxWeightMatching against MaxWeightMatching
+// called directly, on the candidate tables of Porto and Gowalla batches.
+// ---------------------------------------------------------------------------
+
+/// Workers' platform-visible routines are synthesized from their real test
+/// trajectories (sampled forward from `now`), so the batches have the
+/// spatial structure of the paper's datasets without running the NN
+/// forecaster. Each batch takes a different ~1/5 of the fleet offline, so
+/// shard memberships change from batch to batch.
 class ShardingPlanParityTest
     : public ::testing::TestWithParam<data::WorkloadKind> {
  protected:
@@ -344,8 +400,6 @@ class ShardingPlanParityTest
         }
       }
       for (size_t w = 0; w < workload.workers.size(); ++w) {
-        // Churn: each batch a different ~1/5 of the fleet is offline, so
-        // shard memberships change (and warm signatures with them).
         if ((static_cast<int>(w) + b) % 5 == 0) continue;
         const data::WorkerRecord& record = workload.workers[w];
         std::vector<geo::TimedPoint> pred;
@@ -363,88 +417,52 @@ class ShardingPlanParityTest
     }
     return batches;
   }
-
-  static void ExpectSamePlan(const AssignmentPlan& a,
-                             const AssignmentPlan& b) {
-    ASSERT_EQ(a.pairs.size(), b.pairs.size());
-    for (size_t i = 0; i < a.pairs.size(); ++i) {
-      EXPECT_EQ(a.pairs[i].task_index, b.pairs[i].task_index);
-      EXPECT_EQ(a.pairs[i].worker_index, b.pairs[i].worker_index);
-      EXPECT_EQ(a.pairs[i].expected_detour_km, b.pairs[i].expected_detour_km);
-    }
-  }
 };
 
-TEST_P(ShardingPlanParityTest, KmShardedAndGlobalBitIdentical) {
+TEST_P(ShardingPlanParityTest, ShardedAndGlobalMatchingBitIdentical) {
+  constexpr double kRadius = 1.0, kFloor = 1e-3;
   std::vector<Batch> batches = BuildBatches(GetParam());
   for (int threads : {1, 4}) {
     SetParallelThreadCount(threads);
-    AssignReuse reuse;
     bool any = false;
     for (const Batch& batch : batches) {
-      AssignmentPlan global = KmAssign(batch.tasks, batch.workers, batch.now,
-                                       /*match_radius_km=*/1.0,
-                                       /*weight_floor_km=*/1e-3,
-                                       /*use_spatial_index=*/true);
-      AssignmentPlan sharded =
-          KmAssign(batch.tasks, batch.workers, batch.now, 1.0, 1e-3, true,
-                   /*reuse=*/nullptr, /*shard_components=*/true);
-      AssignmentPlan sharded_warm =
-          KmAssign(batch.tasks, batch.workers, batch.now, 1.0, 1e-3, true,
-                   &reuse, /*shard_components=*/true);
-      ExpectSamePlan(global, sharded);
-      ExpectSamePlan(global, sharded_warm);
+      const int num_tasks = static_cast<int>(batch.tasks.size());
+      const int num_workers = static_cast<int>(batch.workers.size());
+      const CandidateIndex index(batch.workers);
+      const auto table = GenerateCandidates(batch.tasks, batch.workers,
+                                            kRadius, batch.now, &index);
+      const ShardPlan plan = BuildShardPlan(table, num_workers);
+      // KM's edge set (stage-3 rows, 1/dis^min) and PPI stage 1/2's
+      // (Theorem-2 rows, 1/min B): two different subsets of the table.
+      std::vector<matching::Edge> km_edges, b_edges;
+      for (size_t t = 0; t < table.size(); ++t) {
+        for (const TaskCandidate& tc : table[t]) {
+          if (tc.stage3_feasible) {
+            km_edges.push_back({static_cast<int>(t), tc.worker,
+                                1.0 / (tc.min_dis + kFloor)});
+          }
+          if (tc.b_count > 0) {
+            b_edges.push_back({static_cast<int>(t), tc.worker,
+                               1.0 / (tc.min_b + kFloor)});
+          }
+        }
+      }
+      for (const auto* edges : {&km_edges, &b_edges}) {
+        ExpectSameMatch(
+            matching::MaxWeightMatching(num_tasks, num_workers, *edges),
+            ShardedMaxWeightMatching(num_tasks, num_workers, *edges, plan));
+      }
+      // KmAssign is exactly this sharded solve over km_edges.
+      const matching::MatchResult global =
+          matching::MaxWeightMatching(num_tasks, num_workers, km_edges);
+      const AssignmentPlan km =
+          KmAssign(batch.tasks, batch.workers, batch.now, kRadius, kFloor);
+      ASSERT_EQ(km.pairs.size(), global.pairs.size());
+      for (size_t i = 0; i < km.pairs.size(); ++i) {
+        EXPECT_EQ(km.pairs[i].task_index, global.pairs[i].first);
+        EXPECT_EQ(km.pairs[i].worker_index, global.pairs[i].second);
+      }
       any = any || !global.pairs.empty();
-    }
-    EXPECT_TRUE(any);
-  }
-  SetParallelThreadCount(0);
-}
-
-TEST_P(ShardingPlanParityTest, PpiShardedAndGlobalBitIdentical) {
-  std::vector<Batch> batches = BuildBatches(GetParam());
-  PpiConfig global_config;
-  PpiConfig sharded_config;
-  sharded_config.shard_components = true;
-  for (int threads : {1, 4}) {
-    SetParallelThreadCount(threads);
-    AssignReuse reuse;
-    bool any = false;
-    for (const Batch& batch : batches) {
-      AssignmentPlan global =
-          PpiAssign(batch.tasks, batch.workers, batch.now, global_config);
-      AssignmentPlan sharded =
-          PpiAssign(batch.tasks, batch.workers, batch.now, sharded_config);
-      AssignmentPlan sharded_warm = PpiAssign(
-          batch.tasks, batch.workers, batch.now, sharded_config, &reuse);
-      ExpectSamePlan(global, sharded);
-      ExpectSamePlan(global, sharded_warm);
-      any = any || !global.pairs.empty();
-    }
-    EXPECT_TRUE(any);
-  }
-  SetParallelThreadCount(0);
-}
-
-TEST_P(ShardingPlanParityTest, GgpsoFlagOnAndOffBitIdentical) {
-  // GGPSO's sharding is record-only (GgpsoConfig doc): the flag must not
-  // perturb the plan in any way.
-  std::vector<Batch> batches = BuildBatches(GetParam());
-  GgpsoConfig off;
-  off.generations = 15;
-  off.population = 12;
-  GgpsoConfig on = off;
-  on.shard_components = true;
-  for (int threads : {1, 4}) {
-    SetParallelThreadCount(threads);
-    bool any = false;
-    for (const Batch& batch : batches) {
-      AssignmentPlan plan_off =
-          GgpsoAssign(batch.tasks, batch.workers, batch.now, off);
-      AssignmentPlan plan_on =
-          GgpsoAssign(batch.tasks, batch.workers, batch.now, on);
-      ExpectSamePlan(plan_off, plan_on);
-      any = any || !plan_off.pairs.empty();
     }
     EXPECT_TRUE(any);
   }

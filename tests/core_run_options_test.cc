@@ -104,15 +104,21 @@ TEST(ParseRunFlagsTest, ParsesEveryFlag) {
   EXPECT_EQ(options.sinks.metrics_path, "m.json");
 }
 
-TEST(ParseRunFlagsTest, ParsesForecastPath) {
-  core::RunOptions options;
-  ASSERT_TRUE(Parse({"--forecast=scalar"}, &options).ok());
-  EXPECT_EQ(options.sim.forecast_mode, core::ForecastMode::kScalar);
-  ASSERT_TRUE(Parse({"--forecast=batched"}, &options).ok());
-  EXPECT_EQ(options.sim.forecast_mode, core::ForecastMode::kBatched);
-  Status bad = Parse({"--forecast=vectorized"}, &options);
-  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.message().find("--forecast"), std::string::npos);
+TEST(ParseRunFlagsTest, RemovedModeFlagsAreUnknown) {
+  // The simulator has one path per layer; the old mode switches must fail
+  // loudly as unknown flags instead of being silently accepted.
+  for (const std::string flag : {"--candidates=dense", "--forecast=scalar",
+                                 "--engine=batch", "--sharding=off"}) {
+    core::RunOptions options;
+    Status status = Parse({flag}, &options);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << flag;
+    EXPECT_NE(status.message().find("unknown flag"), std::string::npos)
+        << flag;
+  }
+  EXPECT_EQ(core::RunFlagsHelp().find("--candidates"), std::string::npos);
+  EXPECT_EQ(core::RunFlagsHelp().find("--forecast"), std::string::npos);
+  EXPECT_EQ(core::RunFlagsHelp().find("--engine"), std::string::npos);
+  EXPECT_EQ(core::RunFlagsHelp().find("--sharding"), std::string::npos);
 }
 
 TEST(ParseRunFlagsTest, LeavesCallerDefaultsAlone) {
@@ -178,83 +184,6 @@ TEST(WorkloadKindNameTest, RoundTripsAndAcceptsLongForms) {
   EXPECT_FALSE(data::ParseWorkloadKind("mars").ok());
 }
 
-TEST(ModeEnumTest, CandidateModeRoundTripsThroughFlag) {
-  // Name -> --candidates=<name> -> ParseRunFlags -> same enum, for every
-  // mode: the flag surface and the enum table can never drift apart.
-  for (core::CandidateMode mode : core::AllCandidateModes()) {
-    const std::string name(core::CandidateModeName(mode));
-    core::RunOptions options;
-    ASSERT_TRUE(Parse({"--candidates=" + name}, &options).ok()) << name;
-    EXPECT_EQ(options.sim.candidate_mode, mode) << name;
-    StatusOr<core::CandidateMode> parsed = core::ParseCandidateMode(name);
-    ASSERT_TRUE(parsed.ok()) << name;
-    EXPECT_EQ(*parsed, mode) << name;
-  }
-  core::RunOptions options;
-  Status bad = Parse({"--candidates=psychic"}, &options);
-  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.message().find("--candidates"), std::string::npos);
-}
-
-TEST(ModeEnumTest, ForecastModeRoundTripsThroughFlag) {
-  for (core::ForecastMode mode : core::AllForecastModes()) {
-    const std::string name(core::ForecastModeName(mode));
-    core::RunOptions options;
-    ASSERT_TRUE(Parse({"--forecast=" + name}, &options).ok()) << name;
-    EXPECT_EQ(options.sim.forecast_mode, mode) << name;
-    StatusOr<core::ForecastMode> parsed = core::ParseForecastMode(name);
-    ASSERT_TRUE(parsed.ok()) << name;
-    EXPECT_EQ(*parsed, mode) << name;
-  }
-}
-
-TEST(ModeEnumTest, SimEngineRoundTripsThroughFlag) {
-  for (core::SimEngine engine : core::AllSimEngines()) {
-    const std::string name(core::SimEngineName(engine));
-    core::RunOptions options;
-    ASSERT_TRUE(Parse({"--engine=" + name}, &options).ok()) << name;
-    EXPECT_EQ(options.sim.engine, engine) << name;
-    StatusOr<core::SimEngine> parsed = core::ParseSimEngine(name);
-    ASSERT_TRUE(parsed.ok()) << name;
-    EXPECT_EQ(*parsed, engine) << name;
-  }
-  core::RunOptions options;
-  Status bad = Parse({"--engine=quantum"}, &options);
-  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.message().find("--engine"), std::string::npos);
-}
-
-TEST(ModeEnumTest, ShardModeRoundTripsThroughFlag) {
-  for (core::ShardMode mode : core::AllShardModes()) {
-    const std::string name(core::ShardModeName(mode));
-    core::RunOptions options;
-    ASSERT_TRUE(Parse({"--sharding=" + name}, &options).ok()) << name;
-    EXPECT_EQ(options.sim.shard_mode, mode) << name;
-    StatusOr<core::ShardMode> parsed = core::ParseShardMode(name);
-    ASSERT_TRUE(parsed.ok()) << name;
-    EXPECT_EQ(*parsed, mode) << name;
-  }
-  core::RunOptions defaults;
-  EXPECT_EQ(defaults.sim.shard_mode, core::ShardMode::kOff);
-  Status bad = Parse({"--sharding=hexagons"}, &defaults);
-  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.message().find("--sharding"), std::string::npos);
-  EXPECT_NE(bad.message().find("components"), std::string::npos);
-}
-
-TEST(ModeEnumTest, ParseIsCaseInsensitive) {
-  StatusOr<core::CandidateMode> candidates =
-      core::ParseCandidateMode("Incremental");
-  ASSERT_TRUE(candidates.ok());
-  EXPECT_EQ(*candidates, core::CandidateMode::kIncremental);
-  StatusOr<core::SimEngine> engine = core::ParseSimEngine("EVENT");
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(*engine, core::SimEngine::kEvent);
-  StatusOr<core::ShardMode> shard = core::ParseShardMode("Components");
-  ASSERT_TRUE(shard.ok());
-  EXPECT_EQ(*shard, core::ShardMode::kComponents);
-}
-
 TEST(WorkloadSpecTest, RoundTripsThroughFlag) {
   for (const data::WorkloadSpec& spec : data::AllWorkloadSpecs()) {
     const std::string name = data::WorkloadSpecName(spec);
@@ -281,27 +210,6 @@ TEST(WorkloadSpecTest, BareDatasetMeansBaselineAndDatasetOnlySetsKind) {
   Status bad = Parse({"--workload=porto_monsoon"}, &options);
   EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(bad.message().find("--workload"), std::string::npos);
-}
-
-TEST(DeprecatedModeSettersTest, MapOntoTheEnums) {
-  // One release of compatibility: the old boolean switches must keep
-  // steering the typed enums until they are removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  core::SimulatorConfig config;
-  config.set_use_spatial_index(false);
-  EXPECT_EQ(config.candidate_mode, core::CandidateMode::kDense);
-  config.set_use_spatial_index(true);
-  EXPECT_EQ(config.candidate_mode, core::CandidateMode::kIndexed);
-  config.set_use_incremental(true);
-  EXPECT_EQ(config.candidate_mode, core::CandidateMode::kIncremental);
-  config.set_use_incremental(false);
-  EXPECT_EQ(config.candidate_mode, core::CandidateMode::kIndexed);
-  config.set_use_batched_forecast(false);
-  EXPECT_EQ(config.forecast_mode, core::ForecastMode::kScalar);
-  config.set_use_batched_forecast(true);
-  EXPECT_EQ(config.forecast_mode, core::ForecastMode::kBatched);
-#pragma GCC diagnostic pop
 }
 
 TEST(EffectiveMethodsTest, EmptyMeansAll) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "common/obs/trace.h"
 #include "core/pipeline.h"
 #include "data/workload.h"
 
@@ -107,56 +111,21 @@ TEST_F(SimulatorTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.total_cost_km, b.total_cost_km);
 }
 
-TEST_F(SimulatorTest, IncrementalModeMatchesIndexedBitIdentical) {
-  // Full-horizon parity: --candidates=incremental must reproduce the
-  // indexed metrics exactly — across the whole batch loop with real
-  // worker churn (busy/offline windows), task expiry, and rejections —
-  // for every predicting method, runs back-to-back through one pipeline
-  // (so later runs replay earlier instants against a warm row cache).
-  PipelineConfig incremental_config = SmallPipeline();
-  incremental_config.sim.candidate_mode = core::CandidateMode::kIncremental;
-  TampPipeline incremental_pipeline(incremental_config);
-  for (AssignMethod method :
-       {AssignMethod::kKm, AssignMethod::kPpi, AssignMethod::kGgpso}) {
-    SimMetrics cold = pipeline_->RunOnline(*workload_, *offline_, method);
-    SimMetrics warm =
-        incremental_pipeline.RunOnline(*workload_, *offline_, method);
-    EXPECT_EQ(cold.assignments, warm.assignments) << AssignMethodName(method);
-    EXPECT_EQ(cold.accepted, warm.accepted) << AssignMethodName(method);
-    EXPECT_EQ(cold.completed, warm.completed) << AssignMethodName(method);
-    EXPECT_EQ(cold.total_cost_km, warm.total_cost_km)
-        << AssignMethodName(method);
-  }
-}
-
-TEST(PurgeExpiredTasksTest, DropsLargeBacklogInOnePassPreservingOrder) {
-  // Regression: the old purge restarted the scan from begin() after every
-  // erase (O(n^2) when a backlog expires at once). The single-pass purge
-  // must drop every expired task and keep survivors in release order.
-  std::deque<assign::SpatialTask> pool;
-  for (int i = 0; i < 2000; ++i) {
-    assign::SpatialTask task;
-    task.id = i;
-    task.release_time_min = static_cast<double>(i);
-    // Interleave expired (even ids, deadline 5) and live (odd ids).
-    task.deadline_min = (i % 2 == 0) ? 5.0 : 1e6;
-    pool.push_back(task);
-  }
-  const size_t dropped = PurgeExpiredTasks(pool, /*now_min=*/10.0);
-  EXPECT_EQ(dropped, 1000u);
-  ASSERT_EQ(pool.size(), 1000u);
-  for (size_t i = 0; i < pool.size(); ++i) {
-    EXPECT_EQ(pool[i].id, static_cast<int>(2 * i + 1));
-  }
-}
-
-TEST(PurgeExpiredTasksTest, DeadlineEqualToNowExpires) {
-  // Matches EvaluateCandidate's strict deadline test: a task due exactly
-  // now can no longer be served, so the pool must not keep it.
-  std::deque<assign::SpatialTask> pool(1);
-  pool[0].deadline_min = 10.0;
-  EXPECT_EQ(PurgeExpiredTasks(pool, 10.0), 1u);
-  EXPECT_TRUE(pool.empty());
+TEST_F(SimulatorTest, OneRunRecordsExactlyOneSimRunSpan) {
+  // Regression: BatchSimulator::Run and EventSimulator::Run both used to
+  // open sim.run, so a traced run counted its wall time twice.
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  recorder.Clear();
+  recorder.Enable();
+  pipeline_->RunOnline(*workload_, *offline_, AssignMethod::kKm);
+  recorder.Disable();
+  const std::map<std::string, obs::SpanStats> spans =
+      recorder.AggregateStats();
+  recorder.Clear();
+  ASSERT_EQ(spans.count("sim.run"), 1u);
+  EXPECT_EQ(spans.at("sim.run").count, 1);
+  ASSERT_EQ(spans.count("pipeline.run_online"), 1u);
+  EXPECT_EQ(spans.at("pipeline.run_online").count, 1);
 }
 
 TEST(AssignMethodNameTest, AllNamed) {

@@ -78,31 +78,21 @@ TEST(MinCostAssignmentTest, ClassicExample) {
 }
 
 TEST(MinCostAssignmentTest, ZeroRowMatrixIsADegenerateNoOp) {
-  // A 0-row matrix returns empty without touching scratch or warm state
-  // (the sharded path can hand a solver an edgeless shard after weight
-  // filtering; resumable state from a previous larger solve must survive).
+  // A 0-row matrix returns empty without touching scratch (the sharded
+  // path can hand a solver an edgeless shard after weight filtering).
   auto result = MinCostAssignment({});
   EXPECT_TRUE(result.col_of_row.empty());
   EXPECT_EQ(result.total_cost, 0.0);
 
   MatchingScratch scratch;
-  KmWarmState warm;
   std::vector<std::vector<double>> small = {
       {1.0, 4.0, 2.0}, {3.0, 1.0, 5.0}, {2.0, 2.0, 1.0}};
   auto cold = MinCostAssignment(small);
-  (void)MinCostAssignment(small, &scratch, &warm);
-  const std::vector<std::vector<double>> prev_cost_before = warm.prev_cost;
-  const size_t checkpoints_before = warm.checkpoints.size();
-  ASSERT_GT(checkpoints_before, 0u);
-
-  (void)MinCostAssignment({}, &scratch, &warm);
-  // Stored warm state is untouched by the degenerate call...
-  EXPECT_EQ(warm.prev_cost, prev_cost_before);
-  EXPECT_EQ(warm.checkpoints.size(), checkpoints_before);
-  // ...and still resumes the original instance bitwise.
-  auto resumed = MinCostAssignment(small, &scratch, &warm);
-  EXPECT_EQ(resumed.col_of_row, cold.col_of_row);
-  EXPECT_EQ(resumed.total_cost, cold.total_cost);
+  (void)MinCostAssignment(small, &scratch);
+  (void)MinCostAssignment({}, &scratch);
+  auto reused = MinCostAssignment(small, &scratch);
+  EXPECT_EQ(reused.col_of_row, cold.col_of_row);
+  EXPECT_EQ(reused.total_cost, cold.total_cost);
 }
 
 TEST(MaxWeightMatchingTest, EmptyInputs) {
@@ -263,99 +253,23 @@ TEST(MatchingScratchTest, ShrinkThenGrowScratchReuseParity) {
   run_both(5, 5, {{0, 0, 2.0}, {1, 1, 1.5}, {2, 3, 4.0}, {4, 2, 0.7}});
 }
 
-TEST(MatchingScratchTest, AllFilteredSolvePreservesScratchAndWarm) {
-  // An instance whose every edge is dropped by the positivity filter must
-  // return before touching scratch or warm state from a previous larger
-  // solve (the degenerate-shard path of the sharded assigner).
+TEST(MatchingScratchTest, AllFilteredSolveLeavesScratchReusable) {
+  // An instance whose every edge is dropped by the positivity filter
+  // returns before touching a scratch left by a previous larger solve (the
+  // degenerate-shard path of the sharded assigner).
   MatchingScratch scratch;
-  KmWarmState warm;
   std::vector<Edge> real = {{0, 0, 2.0}, {0, 1, 5.0}, {1, 0, 4.0},
                             {1, 1, 1.0}};
   auto cold = MaxWeightMatching(2, 2, real);
-  (void)MaxWeightMatching(2, 2, real, &scratch, &warm);
-  const size_t checkpoints_before = warm.checkpoints.size();
-  ASSERT_GT(checkpoints_before, 0u);
+  (void)MaxWeightMatching(2, 2, real, &scratch);
 
-  auto filtered = MaxWeightMatching(9, 9, {{5, 5, 0.0}, {8, 2, -2.0}},
-                                    &scratch, &warm);
+  auto filtered =
+      MaxWeightMatching(9, 9, {{5, 5, 0.0}, {8, 2, -2.0}}, &scratch);
   EXPECT_TRUE(filtered.pairs.empty());
-  EXPECT_EQ(warm.checkpoints.size(), checkpoints_before);
 
-  auto resumed = MaxWeightMatching(2, 2, real, &scratch, &warm);
-  EXPECT_EQ(resumed.pairs, cold.pairs);
-  EXPECT_EQ(resumed.total_weight, cold.total_weight);
-}
-
-TEST(KmWarmStateTest, WarmMinCostAssignmentMatchesColdExactly) {
-  // A warm holder across a sequence of cost matrices sharing row prefixes
-  // must return bitwise the cold results: the resumed (u, v, p) state is a
-  // pure function of the shared prefix.
-  tamp::Rng rng(4321);
-  KmWarmState warm;
-  MatchingScratch scratch;
-  const size_t n = 7, m = 9;
-  std::vector<std::vector<double>> cost(n, std::vector<double>(m, 0.0));
-  for (auto& row : cost) {
-    for (double& c : row) c = rng.Uniform(0.0, 10.0);
-  }
-  for (int trial = 0; trial < 25; ++trial) {
-    auto cold = MinCostAssignment(cost);
-    auto warmed = MinCostAssignment(cost, &scratch, &warm);
-    EXPECT_EQ(warmed.col_of_row, cold.col_of_row) << "trial " << trial;
-    // Bitwise, not approximate: the warm path must replay the identical
-    // arithmetic.
-    EXPECT_EQ(warmed.total_cost, cold.total_cost) << "trial " << trial;
-    // Mutate a suffix of rows (sometimes none — full cache replay;
-    // sometimes all — no reuse at all).
-    const size_t first_changed = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(n)));
-    for (size_t i = first_changed; i < n; ++i) {
-      for (double& c : cost[i]) c = rng.Uniform(0.0, 10.0);
-    }
-  }
-}
-
-TEST(KmWarmStateTest, WarmMaxWeightMatchingMatchesColdExactly) {
-  // Same property at the MaxWeightMatching level, where the padded square
-  // cost matrix is derived from max_weight (which the suffix mutation may
-  // change, invalidating every row — the prefix check handles that
-  // naturally because row contents then differ).
-  tamp::Rng rng(987);
-  KmWarmState warm;
-  MatchingScratch scratch;
-  const int num_left = 6, num_right = 8;
-  for (int trial = 0; trial < 25; ++trial) {
-    std::vector<Edge> edges;
-    for (int l = 0; l < num_left; ++l) {
-      for (int r = 0; r < num_right; ++r) {
-        if (rng.Bernoulli(0.7)) edges.push_back({l, r, rng.Uniform(0.1, 8.0)});
-      }
-    }
-    auto cold = MaxWeightMatching(num_left, num_right, edges);
-    auto warmed =
-        MaxWeightMatching(num_left, num_right, edges, &scratch, &warm);
-    EXPECT_EQ(warmed.pairs, cold.pairs) << "trial " << trial;
-    EXPECT_EQ(warmed.total_weight, cold.total_weight) << "trial " << trial;
-  }
-}
-
-TEST(KmWarmStateTest, OversizedSolveClearsStoredState) {
-  // A solve beyond max_dim must not leave checkpoints a later small solve
-  // could wrongly resume from.
-  KmWarmState warm;
-  warm.max_dim = 4;
-  std::vector<std::vector<double>> small = {
-      {1.0, 4.0, 2.0}, {3.0, 1.0, 5.0}, {2.0, 2.0, 1.0}};
-  (void)MinCostAssignment(small, nullptr, &warm);
-  EXPECT_FALSE(warm.checkpoints.empty());
-  std::vector<std::vector<double>> big(
-      6, std::vector<double>(6, 1.0));
-  (void)MinCostAssignment(big, nullptr, &warm);
-  EXPECT_TRUE(warm.checkpoints.empty());
-  EXPECT_TRUE(warm.prev_cost.empty());
-  // And the holder still works (cold restart) afterwards.
-  auto again = MinCostAssignment(small, nullptr, &warm);
-  EXPECT_EQ(again.col_of_row, MinCostAssignment(small).col_of_row);
+  auto reused = MaxWeightMatching(2, 2, real, &scratch);
+  EXPECT_EQ(reused.pairs, cold.pairs);
+  EXPECT_EQ(reused.total_weight, cold.total_weight);
 }
 
 TEST(MaxWeightMatchingTest, LargeInstanceRunsAndIsValid) {

@@ -13,9 +13,7 @@
 #include "common/obs/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "core/pipeline.h"
 #include "core/rollout.h"
-#include "data/workload.h"
 #include "meta/trainer.h"
 #include "nn/encoder_decoder.h"
 
@@ -323,51 +321,6 @@ TEST(BatchedSeq2SeqTest, WorkCountersAreExactAndThreadInvariant) {
   EXPECT_EQ(cell_delta[0], cell_delta[1]);
   EXPECT_EQ(gemm_delta[0], gemm_delta[1]);
   EXPECT_EQ(rows_delta[0], rows_delta[1]);
-}
-
-/// End to end: the full simulator plan — every SimMetrics field, including
-/// the accumulated float cost — is identical under --forecast=batched and
-/// --forecast=scalar, at 1 and 4 threads.
-TEST(BatchedSeq2SeqTest, SimulatorPlanParityScalarVsBatched) {
-  data::WorkloadConfig workload_config;
-  workload_config.num_workers = 12;
-  workload_config.num_train_days = 2;
-  workload_config.num_tasks = 60;
-  workload_config.num_historical_tasks = 300;
-  workload_config.seed = 33;
-  data::Workload workload = data::GenerateWorkload(workload_config);
-
-  core::PipelineConfig pipeline_config;
-  pipeline_config.trainer.model.hidden_dim = 6;
-  pipeline_config.trainer.meta.iterations = 3;
-  pipeline_config.trainer.fine_tune_steps = 3;
-  pipeline_config.trainer.projection_dim = 8;
-  pipeline_config.trainer.tree.game.k = 2;
-  pipeline_config.sim.prediction_horizon_steps = 4;
-
-  core::PipelineConfig batched_config = pipeline_config;
-  batched_config.sim.forecast_mode = core::ForecastMode::kBatched;
-  core::PipelineConfig scalar_config = pipeline_config;
-  scalar_config.sim.forecast_mode = core::ForecastMode::kScalar;
-  core::TampPipeline batched_pipeline(batched_config);
-  core::TampPipeline scalar_pipeline(scalar_config);
-  core::OfflineResult offline = batched_pipeline.TrainOffline(workload);
-
-  for (int threads : {1, 4}) {
-    ThreadCountGuard guard(threads);
-    for (core::AssignMethod method :
-         {core::AssignMethod::kKm, core::AssignMethod::kPpi}) {
-      core::SimMetrics batched =
-          batched_pipeline.RunOnline(workload, offline, method);
-      core::SimMetrics scalar =
-          scalar_pipeline.RunOnline(workload, offline, method);
-      EXPECT_EQ(batched.total_tasks, scalar.total_tasks);
-      EXPECT_EQ(batched.assignments, scalar.assignments);
-      EXPECT_EQ(batched.accepted, scalar.accepted);
-      EXPECT_EQ(batched.completed, scalar.completed);
-      EXPECT_EQ(batched.total_cost_km, scalar.total_cost_km);
-    }
-  }
 }
 
 }  // namespace

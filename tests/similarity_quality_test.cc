@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "common/rng.h"
 
 namespace tamp::similarity {
@@ -30,7 +32,8 @@ TEST(PairwiseSimilarityTest, SymmetricAccess) {
 }
 
 TEST(PairwiseSimilarityTest, CachesComputation) {
-  int calls = 0;
+  // Atomic: Materialize() calls the similarity function from pool threads.
+  std::atomic<int> calls = 0;
   PairwiseSimilarity sim(3, [&calls](int, int) {
     ++calls;
     return 0.5;

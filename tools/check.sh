@@ -7,7 +7,10 @@
 #                                  build + ctest, a TSan build + ctest over
 #                                  the concurrency tests at TAMP_THREADS=4,
 #                                  and the tamp_analyze static-analysis
-#                                  gate. Exits nonzero on the first failure.
+#                                  gate, and the repository benchmark's
+#                                  unit tests (perfbench/run.py
+#                                  --self-test). Exits nonzero on the first
+#                                  failure.
 #   tools/check.sh --analyze-only  Only the analyze gate (and its
 #                                  self-tests). --lint-only is a legacy
 #                                  alias.
@@ -106,7 +109,7 @@ bench_gate_stage() {
   local baselines="$REPO_ROOT/bench/baselines"
   local target
   for target in micro_matching micro_nn micro_similarity micro_cluster \
-                micro_candidates micro_incremental; do
+                micro_candidates; do
     run_stage "bench-run-$target" env TAMP_BENCH_JSON_DIR="$dir" \
               "$dir/bench/bench_$target" --benchmark_min_time=0.01 \
               || return 1
@@ -136,6 +139,14 @@ bench_gate_stage() {
             "$baselines/BENCH_table4_cluster_ablation.threads1.json" \
             "$baselines/BENCH_table4_cluster_ablation.threads4.json" \
             || return 1
+}
+
+# The repository benchmark's own unit tests (stats helpers, self time,
+# checks, demand draws). run.py builds them from this checkout into
+# .bench_build/perfbench.
+perfbench_self_test_stage() {
+  run_stage "perfbench-self-test" python3 "$REPO_ROOT/perfbench/run.py" \
+            --self-test || return 1
 }
 
 clang_tidy_stage() {
@@ -168,6 +179,7 @@ else
     -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
   bench_gate_stage
+  perfbench_self_test_stage
   clang_tidy_stage
   full_build_stage "asan-ubsan" "$REPO_ROOT/build-check-asan" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
