@@ -7,12 +7,12 @@
 
 namespace {
 
-std::vector<tamp::matching::Edge> RandomEdges(int n, double density,
-                                              uint64_t seed) {
+std::vector<tamp::matching::Edge> RandomEdges(int num_left, int num_right,
+                                              double density, uint64_t seed) {
   tamp::Rng rng(seed);
   std::vector<tamp::matching::Edge> edges;
-  for (int l = 0; l < n; ++l) {
-    for (int r = 0; r < n; ++r) {
+  for (int l = 0; l < num_left; ++l) {
+    for (int r = 0; r < num_right; ++r) {
       if (rng.Bernoulli(density)) {
         edges.push_back({l, r, rng.Uniform(0.1, 10.0)});
       }
@@ -23,7 +23,7 @@ std::vector<tamp::matching::Edge> RandomEdges(int n, double density,
 
 void BM_MaxWeightMatching(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  auto edges = RandomEdges(n, 0.2, 42);
+  auto edges = RandomEdges(n, n, 0.2, 42);
   for (auto _ : state) {
     auto result = tamp::matching::MaxWeightMatching(n, n, edges);
     benchmark::DoNotOptimize(result.total_weight);
@@ -33,9 +33,26 @@ void BM_MaxWeightMatching(benchmark::State& state) {
 BENCHMARK(BM_MaxWeightMatching)->RangeMultiplier(2)->Range(16, 256)
     ->Complexity(benchmark::oNCubed);
 
+// Lopsided batches: the tasks >> workers shape of a surge pool (and its
+// transpose), solved on the min x max matrix instead of a max^2 padding.
+void BM_MaxWeightMatchingRect(benchmark::State& state) {
+  const int num_left = static_cast<int>(state.range(0));
+  const int num_right = static_cast<int>(state.range(1));
+  auto edges = RandomEdges(num_left, num_right, 0.2, 42);
+  for (auto _ : state) {
+    auto result =
+        tamp::matching::MaxWeightMatching(num_left, num_right, edges);
+    benchmark::DoNotOptimize(result.total_weight);
+  }
+}
+BENCHMARK(BM_MaxWeightMatchingRect)
+    ->Args({500, 10})
+    ->Args({10, 500})
+    ->Args({200, 40});
+
 void BM_GreedyMatching(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  auto edges = RandomEdges(n, 0.2, 42);
+  auto edges = RandomEdges(n, n, 0.2, 42);
   for (auto _ : state) {
     auto result = tamp::matching::GreedyMatching(n, n, edges);
     benchmark::DoNotOptimize(result.total_weight);

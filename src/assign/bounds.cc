@@ -1,8 +1,10 @@
 #include "assign/bounds.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/check.h"
+#include "common/obs/trace.h"
 #include "matching/hungarian.h"
 
 namespace tamp::assign {
@@ -32,8 +34,10 @@ AssignmentPlan UpperBoundAssign(const std::vector<SpatialTask>& tasks,
                        1.0 / (visit->detour_km + weight_floor_km)});
     }
   }
+  std::optional<obs::TraceSpan> solve_span(std::in_place, "ub.solve");
   matching::MatchResult result = matching::MaxWeightMatching(
       static_cast<int>(tasks.size()), static_cast<int>(workers.size()), edges);
+  solve_span.reset();
   for (auto [t, w] : result.pairs) {
     plan.pairs.push_back(
         {t, w, detours[static_cast<size_t>(t)][static_cast<size_t>(w)]});
@@ -69,8 +73,10 @@ AssignmentPlan LowerBoundAssign(const std::vector<SpatialTask>& tasks,
                        1.0 / (dis + weight_floor_km)});
     }
   }
+  std::optional<obs::TraceSpan> solve_span(std::in_place, "lb.solve");
   matching::MatchResult result = matching::MaxWeightMatching(
       static_cast<int>(tasks.size()), static_cast<int>(workers.size()), edges);
+  solve_span.reset();
   for (auto [t, w] : result.pairs) {
     plan.pairs.push_back(
         {t, w, detours[static_cast<size_t>(t)][static_cast<size_t>(w)]});

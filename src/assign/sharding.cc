@@ -106,8 +106,9 @@ ShardPlan BuildShardPlan(const std::vector<std::vector<TaskCandidate>>& table,
   }
 
   for (Shard& shard : plan.shards) {
-    shard.cost = shard.rows * static_cast<int64_t>(shard.tasks.size() +
-                                                   shard.workers.size());
+    const int64_t t = static_cast<int64_t>(shard.tasks.size());
+    const int64_t w = static_cast<int64_t>(shard.workers.size());
+    shard.cost = std::min(t, w) * std::min(t, w) * std::max(t, w);
     plan.max_rows = std::max(plan.max_rows, shard.rows);
   }
 

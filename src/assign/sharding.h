@@ -14,7 +14,7 @@ namespace tamp::assign {
 /// edge — so a maximum-weight matching computed per component and
 /// concatenated is a maximum-weight matching of the whole graph. With
 /// geographically clustered fleets the largest component is orders of
-/// magnitude smaller than the fleet, turning the one global O(n^3)
+/// magnitude smaller than the fleet, turning the one global O(r^2 c)
 /// Hungarian solve into many small independent ones that the deterministic
 /// parallel runtime spreads over the pool.
 
@@ -24,8 +24,8 @@ struct Shard {
   std::vector<int> workers;  // Ascending batch worker indices.
   /// Candidate-table rows inside the component.
   int64_t rows = 0;
-  /// LPT cost model: rows x (tasks + workers), a proxy for the KM cycle
-  /// count (each augmenting row scans every column of the padded matrix).
+  /// LPT cost model: min(t, w)^2 x max(t, w) for t tasks and w workers,
+  /// the rectangular KM solve's O(r^2 c) work.
   int64_t cost = 0;
 };
 

@@ -122,8 +122,7 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
     forecast_params_.resize(available.size());
     forecast_recents_.resize(available.size());
   }
-  Stopwatch forecast_watch;
-  std::optional<obs::TraceSpan> forecast_span(std::in_place, "sim.forecast");
+  std::optional<obs::TraceSpan> views_span(std::in_place, "sim.views");
   ParallelFor(available.size(), [&](size_t a) {
     const size_t wi = static_cast<size_t>(available[a]);
     const data::WorkerRecord& record = workers[wi];
@@ -149,9 +148,12 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
     // The oracle's and the acceptance test's view of reality.
     real_futures[a] = record.test.Slice(now, now + horizon_min);
   });
+  views_span.reset();
   if (predicts) {
     // The fleet-level forecast call: one batched rollout for every worker,
     // reusing the engine scratch across batches.
+    Stopwatch forecast_watch;
+    obs::TraceSpan forecast_span("sim.forecast");
     RolloutPredictBatch(batched_model_, forecast_params_, forecast_recents_,
                         workload_.grid, config_.prediction_horizon_steps, now,
                         config_.sample_period_min, forecast_scratch_,
@@ -159,9 +161,8 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
     for (size_t a = 0; a < available.size(); ++a) {
       batch_workers[a].predicted = std::move(forecast_out_[a]);
     }
+    forecast_hist.Record(forecast_watch.ElapsedSeconds());
   }
-  forecast_span.reset();
-  forecast_hist.Record(forecast_watch.ElapsedSeconds());
 
   // Run the assignment algorithm (timed: this is the reported runtime).
   Stopwatch watch;

@@ -1,9 +1,11 @@
 #include "matching/hungarian.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "common/check.h"
+#include "common/obs/metrics.h"
 
 namespace tamp::matching {
 namespace {
@@ -95,6 +97,11 @@ AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
 MatchResult MaxWeightMatching(int num_left, int num_right,
                               const std::vector<Edge>& edges,
                               MatchingScratch* scratch) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  static obs::Counter& solves_counter =
+      registry.GetCounter("matching.solves");
+  static obs::Counter& cells_counter = registry.GetCounter("matching.cells");
+
   TAMP_CHECK(num_left >= 0 && num_right >= 0);
   MatchResult result;
   if (num_left == 0 || num_right == 0) return result;
@@ -112,43 +119,51 @@ MatchResult MaxWeightMatching(int num_left, int num_right,
   MatchingScratch local;
   MatchingScratch& s = scratch != nullptr ? *scratch : local;
 
-  // Pad to a square weight matrix; absent edges have weight 0 (matching to
-  // them is equivalent to staying unmatched and costs nothing).
-  const size_t n = static_cast<size_t>(std::max(num_left, num_right));
+  // Rows are the smaller side and columns the larger, so the solve is
+  // O(r^2 c). Absent edges have weight 0: with r <= c every row is
+  // assigned, and a row assigned to an absent edge stays unmatched.
+  const bool transposed = num_left > num_right;
+  const size_t rows = static_cast<size_t>(transposed ? num_right : num_left);
+  const size_t cols = static_cast<size_t>(transposed ? num_left : num_right);
   std::vector<std::vector<double>>& weight = s.weight;
-  weight.resize(n);
-  for (auto& row : weight) row.assign(n, 0.0);
+  const auto cell = [&](int left, int right) -> double& {
+    const size_t l = static_cast<size_t>(left);
+    const size_t r = static_cast<size_t>(right);
+    return transposed ? weight[r][l] : weight[l][r];
+  };
+  weight.resize(rows);
+  for (auto& row : weight) row.assign(cols, 0.0);
   for (const Edge& e : edges) {
     if (e.weight <= 0.0) continue;
-    auto& cell = weight[static_cast<size_t>(e.left)][static_cast<size_t>(
-        e.right)];
-    cell = std::max(cell, e.weight);
+    double& w = cell(e.left, e.right);
+    w = std::max(w, e.weight);
   }
 
   // Convert to a min-cost assignment: cost = max_weight - weight >= 0.
-  // Every cell of the used n x n region is written exactly once; resize()
-  // alone is safe here because rows kept from a larger previous solve are
-  // fully overwritten before use (scratch-reuse parity is pinned by
-  // matching_hungarian_test's shrink-then-grow case).
+  // Every cell of the used rows x cols region is written exactly once;
+  // resize() alone is safe here because rows kept from a larger previous
+  // solve are fully overwritten before use (scratch-reuse parity is pinned
+  // by matching_hungarian_test's shrink-then-grow case).
   std::vector<std::vector<double>>& cost = s.cost;
-  cost.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    cost[i].resize(n);
-    for (size_t j = 0; j < n; ++j) cost[i][j] = max_weight - weight[i][j];
+  cost.resize(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    cost[i].resize(cols);
+    for (size_t j = 0; j < cols; ++j) cost[i][j] = max_weight - weight[i][j];
   }
-  AssignmentResult assignment = MinCostAssignment(cost, &s);
+  solves_counter.Increment();
+  cells_counter.Increment(static_cast<int64_t>(rows * cols));
+  const AssignmentResult assignment = MinCostAssignment(cost, &s);
 
-  for (size_t left = 0; left < n; ++left) {
-    int right = assignment.col_of_row[left];
-    if (right < 0) continue;
-    if (left >= static_cast<size_t>(num_left) || right >= num_right) {
-      continue;  // Padding.
-    }
-    const double w = weight[left][static_cast<size_t>(right)];
-    if (w <= 0.0) continue;  // Dummy (unmatched) edge.
-    result.pairs.emplace_back(static_cast<int>(left), right);
-    result.total_weight += w;
+  for (size_t row = 0; row < rows; ++row) {
+    const int col = assignment.col_of_row[row];
+    if (weight[row][static_cast<size_t>(col)] <= 0.0) continue;  // Unmatched.
+    const int r = static_cast<int>(row);
+    result.pairs.emplace_back(transposed ? col : r, transposed ? r : col);
   }
+  // Ascending-left emission and summation keep pairs and total bitwise
+  // those of the square-padded test oracle when the optimum is unique.
+  if (transposed) std::sort(result.pairs.begin(), result.pairs.end());
+  for (auto [l, r] : result.pairs) result.total_weight += cell(l, r);
   return result;
 }
 

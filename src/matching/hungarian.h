@@ -40,7 +40,8 @@ struct MatchingScratch {
   std::vector<double> u, v, minv;
   std::vector<std::size_t> p, way;
   std::vector<char> used;
-  // MaxWeightMatching padded square matrices.
+  // MaxWeightMatching rows x cols weight/cost matrices (rows = the smaller
+  // side of the bipartite graph).
   std::vector<std::vector<double>> weight;
   std::vector<std::vector<double>> cost;
 };
@@ -57,11 +58,15 @@ AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
 
 /// Maximum-weight bipartite matching via the Kuhn-Munkres algorithm
 /// ([35], [36] in the paper) with potentials and shortest augmenting paths,
-/// O(n^3) on the padded square matrix. Vertices may stay unmatched: only
-/// pairs connected by a real (positive-weight) input edge are reported.
+/// solved on the r x c matrix with r = min(num_left, num_right) rows and
+/// c = max(num_left, num_right) columns, O(r^2 c). Vertices may stay
+/// unmatched: only pairs connected by a real (positive-weight) input edge
+/// are reported, in ascending-left order.
 ///
 /// `num_left`/`num_right` bound the vertex ids appearing in `edges`.
-/// Duplicate edges keep the maximum weight. `scratch` may be null.
+/// Duplicate edges keep the maximum weight; NaN-weight edges are ignored.
+/// Counts matching.solves and matching.cells (r x c) per matrix built.
+/// `scratch` may be null.
 MatchResult MaxWeightMatching(int num_left, int num_right,
                               const std::vector<Edge>& edges,
                               MatchingScratch* scratch = nullptr);

@@ -63,14 +63,16 @@ TEST(ShardPlanTest, ComponentsMembershipAndCountersOnHandBuiltTable) {
   EXPECT_EQ(count_counter.value() - count_before, 2);
 
   ASSERT_EQ(plan.shards.size(), 2u);
-  // LPT: the 3-row component costs 3*4=12, the 1-row one 1*2=2.
+  // LPT: the 2-task x 2-worker component costs min^2 * max = 2*2*2 = 8,
+  // the 1 x 1 one costs 1.
   EXPECT_EQ(plan.shards[0].tasks, (std::vector<int>{0, 1}));
   EXPECT_EQ(plan.shards[0].workers, (std::vector<int>{0, 1}));
   EXPECT_EQ(plan.shards[0].rows, 3);
-  EXPECT_EQ(plan.shards[0].cost, 12);
+  EXPECT_EQ(plan.shards[0].cost, 8);
   EXPECT_EQ(plan.shards[1].tasks, (std::vector<int>{2}));
   EXPECT_EQ(plan.shards[1].workers, (std::vector<int>{3}));
   EXPECT_EQ(plan.shards[1].rows, 1);
+  EXPECT_EQ(plan.shards[1].cost, 1);
   EXPECT_EQ(plan.shard_of_task, (std::vector<int>{0, 0, 1, -1}));
   EXPECT_EQ(plan.shard_of_worker, (std::vector<int>{0, 0, -1, 1, -1}));
   EXPECT_EQ(plan.total_rows, 4);

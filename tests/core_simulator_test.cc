@@ -128,6 +128,39 @@ TEST_F(SimulatorTest, OneRunRecordsExactlyOneSimRunSpan) {
   EXPECT_EQ(spans.at("pipeline.run_online").count, 1);
 }
 
+TEST_F(SimulatorTest, ForecastSpansOnlyWhenTheMethodPredicts) {
+  // sim.forecast times the fleet rollout alone: UB/LB never forecast, so
+  // they record none, while every batch still builds its views. KM records
+  // one forecast per batch.
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  const auto spans_of = [&](AssignMethod method) {
+    recorder.Clear();
+    recorder.Enable();
+    pipeline_->RunOnline(*workload_, *offline_, method);
+    recorder.Disable();
+    std::map<std::string, obs::SpanStats> spans = recorder.AggregateStats();
+    recorder.Clear();
+    return spans;
+  };
+  for (AssignMethod method :
+       {AssignMethod::kUpperBound, AssignMethod::kLowerBound}) {
+    const std::map<std::string, obs::SpanStats> spans = spans_of(method);
+    EXPECT_EQ(spans.count("sim.forecast"), 0u) << AssignMethodName(method);
+    ASSERT_EQ(spans.count("sim.batch"), 1u) << AssignMethodName(method);
+    ASSERT_EQ(spans.count("sim.views"), 1u) << AssignMethodName(method);
+    EXPECT_EQ(spans.at("sim.views").count, spans.at("sim.batch").count);
+    const std::string solve =
+        method == AssignMethod::kUpperBound ? "ub.solve" : "lb.solve";
+    ASSERT_EQ(spans.count(solve), 1u);
+    EXPECT_EQ(spans.at(solve).count, spans.at("sim.batch").count);
+  }
+  const std::map<std::string, obs::SpanStats> km = spans_of(AssignMethod::kKm);
+  ASSERT_EQ(km.count("sim.batch"), 1u);
+  ASSERT_EQ(km.count("sim.forecast"), 1u);
+  EXPECT_EQ(km.at("sim.forecast").count, km.at("sim.batch").count);
+  EXPECT_EQ(km.at("sim.views").count, km.at("sim.batch").count);
+}
+
 TEST(AssignMethodNameTest, AllNamed) {
   EXPECT_EQ(AssignMethodName(AssignMethod::kUpperBound), "UB");
   EXPECT_EQ(AssignMethodName(AssignMethod::kLowerBound), "LB");
