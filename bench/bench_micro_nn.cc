@@ -1,6 +1,8 @@
 // Micro-benchmarks of the LSTM encoder-decoder: forward inference (what
 // every online batch pays per worker), the training step (what meta-
-// training pays per sample), and the fleet-wide forecast rollout — the
+// training pays per sample), the offline training layers on the
+// calibrated Porto fleet (one worker's batch gradient; one TAML pass over
+// the GTTAML tree), and the fleet-wide forecast rollout — the
 // per-worker scalar chain against the batched SoA engine
 // (nn::BatchedSeq2Seq), with distinct per-worker parameters (batched
 // GEMV tiles) and a shared parameter vector (true GEMM tiles).
@@ -8,13 +10,21 @@
 // tools/bench_compare gates on.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "bench_common.h"
+#include "cluster/task_tree.h"
 #include "common/check.h"
 #include "common/obs/metrics.h"
 #include "common/rng.h"
 #include "core/rollout.h"
+#include "data/workload.h"
 #include "geo/grid.h"
+#include "meta/meta_training.h"
+#include "meta/taml.h"
+#include "meta/trainer.h"
 #include "nn/batched_seq2seq.h"
 #include "nn/encoder_decoder.h"
 
@@ -173,6 +183,78 @@ void BM_PredictBySeqIn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictBySeqIn)->Arg(1)->Arg(5)->Arg(10)->Arg(20);
+
+/// The calibrated Porto training fleet (the repository benchmark's
+/// `train` workload) with its GTTAML learning task tree. The tree comes
+/// from a Train run with no meta iterations and no fine-tune, so building
+/// it costs only the similarity factors and the clustering.
+struct PortoTraining {
+  tamp::meta::TrainerConfig config;
+  std::vector<tamp::meta::LearningTask> tasks;
+  std::unique_ptr<tamp::cluster::TaskTreeNode> tree;
+};
+
+const PortoTraining& PortoTrainingFleet() {
+  static const PortoTraining* training = [] {
+    auto* out = new PortoTraining;
+    tamp::bench::BenchScale scale;
+    out->tasks = tamp::data::GenerateWorkload(
+                     tamp::bench::BaseWorkloadConfig(
+                         tamp::data::WorkloadKind::kPortoDidi, scale))
+                     .learning_tasks;
+    out->config = tamp::bench::BasePipelineConfig(scale).trainer;
+    out->config.model.input_dim = tamp::data::kSampleInputDim;
+    tamp::meta::TrainerConfig tree_only = out->config;
+    tree_only.meta.iterations = 0;
+    tree_only.fine_tune_steps = 0;
+    out->tree = tamp::meta::MobilityTrainer(tree_only)
+                    .Train(out->tasks, tamp::meta::MetaAlgorithm::kGttaml)
+                    .tree;
+    return out;
+  }();
+  return *training;
+}
+
+/// One fine-tune step's gradient: worker 0's support + query samples.
+void BM_BatchLossAndGradientPorto(benchmark::State& state) {
+  const PortoTraining& training = PortoTrainingFleet();
+  tamp::nn::EncoderDecoder model(training.config.model);
+  tamp::Rng rng(11);
+  const std::vector<double> params = model.InitParams(rng);
+  const tamp::meta::LearningTask& task = training.tasks.front();
+  std::vector<tamp::meta::TrainingSample> samples = task.support;
+  samples.insert(samples.end(), task.query.begin(), task.query.end());
+  std::vector<double> grad(params.size());
+  for (auto _ : state) {
+    std::fill(grad.begin(), grad.end(), 0.0);
+    benchmark::DoNotOptimize(tamp::meta::BatchLossAndGradient(
+        model, params, samples, training.config.meta, grad));
+  }
+  state.counters["samples"] = static_cast<double>(samples.size());
+}
+BENCHMARK(BM_BatchLossAndGradientPorto)->Unit(benchmark::kMillisecond);
+
+/// One TAML pass (Alg. 2: every leaf's Meta-Training as one wavefront,
+/// then the interior updates) over the Porto GTTAML tree, from a fresh
+/// initialization each iteration.
+void BM_TamlPorto(benchmark::State& state) {
+  const PortoTraining& training = PortoTrainingFleet();
+  tamp::nn::EncoderDecoder model(training.config.model);
+  tamp::cluster::TaskTreeNode& tree = *training.tree;
+  tamp::Rng init_rng(13);
+  const std::vector<double> init = model.InitParams(init_rng);
+  for (auto _ : state) {
+    tamp::meta::InitializeTreeParams(tree, init);
+    tamp::Rng rng(17);
+    benchmark::DoNotOptimize(
+        tamp::meta::Taml(tree, training.tasks, model, training.config.meta,
+                         rng)
+            .avg_loss);
+  }
+  state.counters["leaves"] =
+      static_cast<double>(tamp::cluster::CountLeaves(tree));
+}
+BENCHMARK(BM_TamlPorto)->Unit(benchmark::kMillisecond);
 
 void FleetScalarBench(benchmark::State& state, const Fleet& fleet) {
   const size_t fleet_size = static_cast<size_t>(state.range(0));

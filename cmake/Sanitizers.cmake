@@ -33,7 +33,9 @@ function(tamp_enable_sanitizers)
       list(APPEND _tamp_san_flags "-fsanitize=address")
       set(_has_addr_or_leak TRUE)
     elseif(_san STREQUAL "undefined")
-      list(APPEND _tamp_san_flags "-fsanitize=undefined")
+      # GCC's undefined set leaves out float-to-int overflow
+      # (static_cast<int> of a NaN/Inf/out-of-range double); trap it too.
+      list(APPEND _tamp_san_flags "-fsanitize=undefined,float-cast-overflow")
     elseif(_san STREQUAL "thread")
       list(APPEND _tamp_san_flags "-fsanitize=thread")
       set(_has_thread TRUE)
@@ -55,8 +57,9 @@ function(tamp_enable_sanitizers)
   # Sane stacks in sanitizer reports; halt on the first UB diagnostic so
   # ctest fails instead of scrolling past it.
   list(APPEND _tamp_san_flags "-fno-omit-frame-pointer")
-  if("-fsanitize=undefined" IN_LIST _tamp_san_flags)
-    list(APPEND _tamp_san_flags "-fno-sanitize-recover=undefined")
+  if("-fsanitize=undefined,float-cast-overflow" IN_LIST _tamp_san_flags)
+    list(APPEND _tamp_san_flags
+         "-fno-sanitize-recover=undefined,float-cast-overflow")
   endif()
 
   add_compile_options(${_tamp_san_flags})

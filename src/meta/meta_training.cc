@@ -39,7 +39,12 @@ double BatchLossAndGradient(const nn::EncoderDecoder& model,
   TAMP_CHECK(grad.size() == params.size());
   TAMP_CHECK(weights.empty() || weights.size() == samples.size());
   static const std::vector<double> kUniform;
-  std::vector<double> sample_grad(params.size(), 0.0);
+  // Per-pool-thread BPTT buffers and per-sample gradient: every sample
+  // overwrites what it reads, so the loop is allocation-free and the
+  // fan-out stays bit-deterministic.
+  thread_local nn::TrainScratch scratch;
+  thread_local std::vector<double> sample_grad;
+  sample_grad.resize(params.size());
   double loss_sum = 0.0;
   double inv = 1.0 / static_cast<double>(samples.size());
   for (size_t s = 0; s < samples.size(); ++s) {
@@ -47,7 +52,7 @@ double BatchLossAndGradient(const nn::EncoderDecoder& model,
     std::fill(sample_grad.begin(), sample_grad.end(), 0.0);
     loss_sum += model.LossAndGradient(params, sample.input, sample.target,
                                       weights.empty() ? kUniform : weights[s],
-                                      sample_grad);
+                                      sample_grad, &scratch);
     for (size_t i = 0; i < grad.size(); ++i) grad[i] += sample_grad[i] * inv;
   }
   // Plain division (not * inv) keeps the loss bit-identical to the
@@ -85,102 +90,158 @@ std::vector<double> AdaptKSteps(const nn::EncoderDecoder& model,
   return adapted;
 }
 
+namespace {
+
+/// One sampled pick's adapt + query-loss result (Alg. 3 lines 4-8). It
+/// touches only its leaf's theta, the task's own data and pick-local
+/// buffers, so every pick of a round runs independently.
+struct PickResult {
+  double query_loss = 0.0;
+  bool contributing = false;
+  std::vector<double> contribution;  // This pick's meta-gradient term.
+};
+
+PickResult RunPick(const nn::EncoderDecoder& model, const LearningTask& task,
+                   const std::vector<double>& theta,
+                   const MetaTrainConfig& config) {
+  static obs::Counter& adapt_steps_counter =
+      obs::MetricsRegistry::Global().GetCounter("meta.adapt_steps");
+  PickResult out;
+  if (task.support.empty() || task.query.empty()) return out;
+  // Alg. 3 lines 4-7: adapt k steps on the support set.
+  std::vector<double> adapted = AdaptKSteps(
+      model, theta, task.support, config.adapt_steps, config.beta, config);
+  adapt_steps_counter.Increment(config.adapt_steps);
+  // Alg. 3 line 8: query loss at the adapted parameters.
+  std::vector<double> query_grad(theta.size(), 0.0);
+  out.query_loss =
+      BatchLossAndGradient(model, adapted, task.query, config, query_grad);
+  if (config.update_rule == MetaUpdateRule::kFomaml) {
+    // First-order MAML: the query gradient at theta_i is this task's
+    // contribution to the meta-gradient.
+    out.contribution = std::move(query_grad);
+  } else {
+    // Reptile: move toward the adapted parameters; expressed as a gradient
+    // so the same meta step applies.
+    double inv_beta = 1.0 / config.beta;
+    out.contribution.resize(theta.size());
+    for (size_t i = 0; i < theta.size(); ++i) {
+      out.contribution[i] = (theta[i] - adapted[i]) * inv_beta;
+    }
+  }
+  out.contributing = true;
+  return out;
+}
+
+}  // namespace
+
+void MetaTrainWavefront(const nn::EncoderDecoder& model,
+                        const std::vector<LearningTask>& tasks,
+                        std::vector<MetaTrainLeaf>& leaves,
+                        const MetaTrainConfig& config, Rng& rng) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  static obs::Counter& iterations_counter =
+      registry.GetCounter("meta.iterations");
+  static obs::Gauge& query_loss_gauge =
+      registry.GetGauge("meta.avg_query_loss");
+  static obs::Histogram& round_width_hist =
+      registry.GetHistogram("meta.round_width", obs::CountEdges());
+
+  obs::TraceSpan train_span("meta.train");
+  const size_t rounds =
+      static_cast<size_t>(std::max(config.iterations, 0));
+
+  // Alg. 3 line 2 for every round up front: leaf by leaf, each leaf draws
+  // its `iterations` batches of m member tasks, the same draws in the same
+  // order as training one leaf after another. The shared rng is consumed
+  // only here, on the calling thread; the per-pick work below is RNG-free,
+  // so 1-thread and N-thread runs are bit-identical. A round's picks are
+  // laid out leaf-major: leaf l owns [first_pick[l], first_pick[l + 1]).
+  std::vector<size_t> first_pick(leaves.size() + 1, 0);
+  std::vector<size_t> pick_leaf;
+  std::vector<std::vector<size_t>> batches(leaves.size());
+  for (size_t l = 0; l < leaves.size(); ++l) {
+    MetaTrainLeaf& leaf = leaves[l];
+    TAMP_CHECK(!leaf.members->empty());
+    TAMP_CHECK(leaf.theta->size() == model.param_count());
+    leaf.result = MetaTrainResult{};
+    leaf.result.meta_gradient.assign(leaf.theta->size(), 0.0);
+    int m = std::min<int>(config.batch_size,
+                          static_cast<int>(leaf.members->size()));
+    first_pick[l + 1] = first_pick[l] + static_cast<size_t>(m);
+    pick_leaf.resize(first_pick[l + 1], l);
+    for (size_t r = 0; r < rounds; ++r) {
+      std::vector<size_t> batch = rng.SampleWithoutReplacement(
+          leaf.members->size(), static_cast<size_t>(m));
+      batches[l].insert(batches[l].end(), batch.begin(), batch.end());
+    }
+  }
+
+  const size_t width = first_pick.back();
+  std::vector<PickResult> picks(width);
+  std::vector<bool> contributed(leaves.size(), false);
+  for (size_t r = 0; r < rounds; ++r) {
+    iterations_counter.Increment(static_cast<int64_t>(leaves.size()));
+    round_width_hist.Record(static_cast<double>(width));
+    // Every (leaf, pick) pair of the round is one parallel index.
+    ParallelFor(width, [&](size_t j) {
+      size_t l = pick_leaf[j];
+      size_t m = first_pick[l + 1] - first_pick[l];
+      size_t member = batches[l][r * m + (j - first_pick[l])];
+      const LearningTask& task =
+          tasks[static_cast<size_t>((*leaves[l].members)[member])];
+      picks[j] = RunPick(model, task, *leaves[l].theta, config);
+    });
+
+    for (size_t l = 0; l < leaves.size(); ++l) {
+      std::vector<double>& theta = *leaves[l].theta;
+      MetaTrainResult& result = leaves[l].result;
+      // Ordered reduction: accumulate in pick order, so the meta step is
+      // bit-identical at any thread count.
+      std::fill(result.meta_gradient.begin(), result.meta_gradient.end(),
+                0.0);
+      double loss_sum = 0.0;
+      int contributing = 0;
+      for (size_t j = first_pick[l]; j < first_pick[l + 1]; ++j) {
+        const PickResult& pick = picks[j];
+        if (!pick.contributing) continue;
+        for (size_t i = 0; i < theta.size(); ++i) {
+          result.meta_gradient[i] += pick.contribution[i];
+        }
+        loss_sum += pick.query_loss;
+        ++contributing;
+      }
+      if (contributing == 0) continue;
+      double inv = 1.0 / static_cast<double>(contributing);
+      for (double& g : result.meta_gradient) g *= inv;
+      nn::ClipGradientNorm(result.meta_gradient, config.grad_clip);
+      // Alg. 3 line 9: meta update.
+      for (size_t i = 0; i < theta.size(); ++i) {
+        theta[i] -= config.alpha * result.meta_gradient[i];
+      }
+      result.avg_query_loss = loss_sum * inv;
+      contributed[l] = true;
+    }
+  }
+  // The gauge holds the last leaf's final loss, as training the leaves one
+  // after another would leave it.
+  for (size_t l = leaves.size(); l-- > 0;) {
+    if (!contributed[l]) continue;
+    query_loss_gauge.Set(leaves[l].result.avg_query_loss);
+    break;
+  }
+}
+
 MetaTrainResult MetaTrain(const nn::EncoderDecoder& model,
                           const std::vector<LearningTask>& tasks,
                           const std::vector<int>& members,
                           std::vector<double>& theta,
                           const MetaTrainConfig& config, Rng& rng) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  static obs::Counter& iterations_counter =
-      registry.GetCounter("meta.iterations");
-  static obs::Counter& adapt_steps_counter =
-      registry.GetCounter("meta.adapt_steps");
-  static obs::Gauge& query_loss_gauge =
-      registry.GetGauge("meta.avg_query_loss");
-
-  obs::TraceSpan train_span("meta.train");
-  TAMP_CHECK(!members.empty());
-  TAMP_CHECK(theta.size() == model.param_count());
-
-  MetaTrainResult result;
-  result.meta_gradient.assign(theta.size(), 0.0);
-
-  // One sampled pick's adapt + query-loss result. Computed independently
-  // per pick (Alg. 3 lines 4-8 touch only theta, the task's own data, and
-  // pick-local buffers), so the batch fans out over the thread pool.
-  struct PickResult {
-    double query_loss = 0.0;
-    bool contributing = false;
-    std::vector<double> contribution;  // This pick's meta-gradient term.
-  };
-
-  for (int iter = 0; iter < config.iterations; ++iter) {
-    iterations_counter.Increment();
-    // Alg. 3 line 2: sample a batch of m member tasks. The shared rng is
-    // consumed only here, on the calling thread, before the fan-out; the
-    // per-pick work below is RNG-free, so no sub-Rng derivation is needed
-    // and 1-thread and N-thread runs are bit-identical.
-    int m = std::min<int>(config.batch_size, static_cast<int>(members.size()));
-    std::vector<size_t> batch = rng.SampleWithoutReplacement(
-        members.size(), static_cast<size_t>(m));
-
-    std::vector<PickResult> picks = ParallelMap<PickResult>(
-        batch.size(), [&](size_t b) {
-          PickResult out;
-          const LearningTask& task =
-              tasks[static_cast<size_t>(members[batch[b]])];
-          if (task.support.empty() || task.query.empty()) return out;
-          // Alg. 3 lines 4-7: adapt k steps on the support set.
-          std::vector<double> adapted =
-              AdaptKSteps(model, theta, task.support, config.adapt_steps,
-                          config.beta, config);
-          adapt_steps_counter.Increment(config.adapt_steps);
-          // Alg. 3 line 8: query loss at the adapted parameters.
-          std::vector<double> query_grad(theta.size(), 0.0);
-          out.query_loss = BatchLossAndGradient(model, adapted, task.query,
-                                                config, query_grad);
-          if (config.update_rule == MetaUpdateRule::kFomaml) {
-            // First-order MAML: the query gradient at theta_i is this
-            // task's contribution to the meta-gradient.
-            out.contribution = std::move(query_grad);
-          } else {
-            // Reptile: move toward the adapted parameters; expressed as a
-            // gradient so the same meta step applies.
-            double inv_beta = 1.0 / config.beta;
-            out.contribution.resize(theta.size());
-            for (size_t i = 0; i < theta.size(); ++i) {
-              out.contribution[i] = (theta[i] - adapted[i]) * inv_beta;
-            }
-          }
-          out.contributing = true;
-          return out;
-        });
-
-    // Ordered reduction: accumulate in pick order, exactly as the serial
-    // loop did, so the meta step is bit-identical at any thread count.
-    std::fill(result.meta_gradient.begin(), result.meta_gradient.end(), 0.0);
-    double loss_sum = 0.0;
-    int contributing = 0;
-    for (const PickResult& pick : picks) {
-      if (!pick.contributing) continue;
-      for (size_t i = 0; i < theta.size(); ++i) {
-        result.meta_gradient[i] += pick.contribution[i];
-      }
-      loss_sum += pick.query_loss;
-      ++contributing;
-    }
-    if (contributing == 0) continue;
-    double inv = 1.0 / static_cast<double>(contributing);
-    for (double& g : result.meta_gradient) g *= inv;
-    nn::ClipGradientNorm(result.meta_gradient, config.grad_clip);
-    // Alg. 3 line 9: meta update.
-    for (size_t i = 0; i < theta.size(); ++i) {
-      theta[i] -= config.alpha * result.meta_gradient[i];
-    }
-    result.avg_query_loss = loss_sum * inv;
-    query_loss_gauge.Set(result.avg_query_loss);
-  }
-  return result;
+  std::vector<MetaTrainLeaf> leaves(1);
+  leaves[0].members = &members;
+  leaves[0].theta = &theta;
+  MetaTrainWavefront(model, tasks, leaves, config, rng);
+  return std::move(leaves[0].result);
 }
 
 double FineTune(const nn::EncoderDecoder& model, const LearningTask& task,

@@ -87,12 +87,33 @@ std::vector<double> AdaptKSteps(const nn::EncoderDecoder& model,
 /// Meta-Training (Algorithm 3) on one cluster of learning tasks using
 /// first-order MAML: each iteration samples m member tasks, adapts k steps
 /// on each task's support set, and applies the mean query gradient at the
-/// adapted parameters to `theta`. `members` indexes into `tasks`.
+/// adapted parameters to `theta`. `members` indexes into `tasks`. The
+/// one-leaf call of MetaTrainWavefront.
 MetaTrainResult MetaTrain(const nn::EncoderDecoder& model,
                           const std::vector<LearningTask>& tasks,
                           const std::vector<int>& members,
                           std::vector<double>& theta,
                           const MetaTrainConfig& config, Rng& rng);
+
+/// One leaf cluster of a meta-training wavefront: its member tasks (indices
+/// into the task list), the theta that training updates in place, and the
+/// training result.
+struct MetaTrainLeaf {
+  const std::vector<int>* members = nullptr;
+  std::vector<double>* theta = nullptr;
+  MetaTrainResult result;
+};
+
+/// Meta-Training on several independent leaf clusters at once, bitwise
+/// equal to calling MetaTrain on each leaf in turn (rng included): every
+/// leaf's batches are drawn up front in leaf order, then each iteration
+/// runs the (leaf, pick) pairs of all leaves as one parallel region and
+/// applies each leaf's meta step in pick order. meta.round_width records
+/// the region's width.
+void MetaTrainWavefront(const nn::EncoderDecoder& model,
+                        const std::vector<LearningTask>& tasks,
+                        std::vector<MetaTrainLeaf>& leaves,
+                        const MetaTrainConfig& config, Rng& rng);
 
 /// Per-worker fine-tuning after meta-initialization: `steps` Adam steps on
 /// the worker's support + query data. Returns the final training loss.

@@ -5,24 +5,37 @@
 
 namespace tamp::meta {
 
-TamlResult Taml(cluster::TaskTreeNode& node,
-                const std::vector<LearningTask>& tasks,
-                const nn::EncoderDecoder& model, const MetaTrainConfig& config,
-                Rng& rng) {
-  TAMP_CHECK(node.theta.size() == model.param_count());
+namespace {
+
+/// The tree's leaves in depth-first order, checking every node's theta.
+void CollectLeaves(cluster::TaskTreeNode& node, size_t param_count,
+                   std::vector<MetaTrainLeaf>& leaves) {
+  TAMP_CHECK(node.theta.size() == param_count);
+  if (node.is_leaf()) {
+    leaves.push_back({&node.tasks, &node.theta, {}});
+    return;
+  }
+  for (auto& child : node.children) {
+    CollectLeaves(*child, param_count, leaves);
+  }
+}
+
+/// Alg. 2 over trained leaves, consumed in depth-first order from `next`.
+TamlResult ReduceSubtree(cluster::TaskTreeNode& node,
+                         std::vector<MetaTrainLeaf>& leaves, size_t& next,
+                         const MetaTrainConfig& config) {
   TamlResult result;
   if (node.is_leaf()) {
-    // Alg. 2 lines 1-2: leaves run Meta-Training on their own cluster.
-    MetaTrainResult trained =
-        MetaTrain(model, tasks, node.tasks, node.theta, config, rng);
+    // Alg. 2 lines 1-2: leaves ran Meta-Training on their own cluster.
+    MetaTrainResult& trained = leaves[next++].result;
     result.avg_loss = trained.avg_query_loss;
     result.gradient = std::move(trained.meta_gradient);
     return result;
   }
-  // Alg. 2 lines 3-5: recurse into children, averaging losses/gradients.
-  result.gradient.assign(model.param_count(), 0.0);
+  // Alg. 2 lines 3-5: average the children's losses and gradients.
+  result.gradient.assign(node.theta.size(), 0.0);
   for (auto& child : node.children) {
-    TamlResult child_result = Taml(*child, tasks, model, config, rng);
+    TamlResult child_result = ReduceSubtree(*child, leaves, next, config);
     result.avg_loss += child_result.avg_loss;
     for (size_t i = 0; i < result.gradient.size(); ++i) {
       result.gradient[i] += child_result.gradient[i];
@@ -37,6 +50,21 @@ TamlResult Taml(cluster::TaskTreeNode& node,
     node.theta[i] -= config.alpha * result.gradient[i];
   }
   return result;
+}
+
+}  // namespace
+
+TamlResult Taml(cluster::TaskTreeNode& node,
+                const std::vector<LearningTask>& tasks,
+                const nn::EncoderDecoder& model, const MetaTrainConfig& config,
+                Rng& rng) {
+  // Leaves never read an interior theta, so all of them train first as one
+  // wavefront; the interior updates then run bottom-up.
+  std::vector<MetaTrainLeaf> leaves;
+  CollectLeaves(node, model.param_count(), leaves);
+  MetaTrainWavefront(model, tasks, leaves, config, rng);
+  size_t next = 0;
+  return ReduceSubtree(node, leaves, next, config);
 }
 
 void InitializeTreeParams(cluster::TaskTreeNode& root,

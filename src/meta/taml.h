@@ -19,12 +19,13 @@ struct TamlResult {
   std::vector<double> gradient;
 };
 
-/// Task Adaptive Meta-learning (Algorithm 2): recursively trains the
-/// learning task tree. Leaves run Meta-Training (Algorithm 3) on their
-/// cluster; every interior node averages its children's losses and
-/// meta-gradients and applies one meta step of rate `config.alpha` to its
-/// own theta. Every node's theta must already be sized to
-/// model.param_count() (see InitializeTreeParams).
+/// Task Adaptive Meta-learning (Algorithm 2): trains the learning task
+/// tree. Leaves run Meta-Training (Algorithm 3) on their cluster, all in one
+/// MetaTrainWavefront; then every interior node, bottom-up, averages its
+/// children's losses and meta-gradients and applies one meta step of rate
+/// `config.alpha` to its own theta. Bitwise equal to the depth-first
+/// recursion that trains one leaf after another. Every node's theta must
+/// already be sized to model.param_count() (see InitializeTreeParams).
 TamlResult Taml(cluster::TaskTreeNode& node,
                 const std::vector<LearningTask>& tasks,
                 const nn::EncoderDecoder& model, const MetaTrainConfig& config,

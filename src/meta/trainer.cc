@@ -231,37 +231,23 @@ EvalResult MobilityTrainer::Evaluate(const TrainedModels& models,
     const std::vector<TrainingSample>& eval = tasks[w].eval;
     // Per-pool-thread reusable forward buffers: outputs never depend on
     // scratch contents, so the fan-out stays bit-deterministic.
-    thread_local nn::PredictScratch predict_scratch;
     thread_local nn::BatchedSeq2SeqScratch batch_scratch;
     thread_local std::vector<const std::vector<double>*> row_params;
     thread_local std::vector<const nn::Sequence*> batch_inputs;
     thread_local std::vector<nn::Sequence> batch_preds;
     // All of this worker's samples share worker_params[w], so the whole
-    // eval set runs as one shared-parameter (GEMM) batch; the scalar path
-    // remains for non-uniform sample lengths (and as parity reference).
-    bool batched = config_.batched_eval && !eval.empty();
-    for (size_t i = 1; batched && i < eval.size(); ++i) {
-      if (eval[i].input.size() != eval.front().input.size()) batched = false;
-    }
-    if (batched) {
-      row_params.assign(eval.size(), &models.worker_params[w]);
-      batch_inputs.resize(eval.size());
-      for (size_t i = 0; i < eval.size(); ++i) {
-        batch_inputs[i] = &eval[i].input;
-      }
-      batched_model_.PredictBatch(row_params, batch_inputs, &batch_preds,
-                                  batch_scratch);
-    }
+    // eval set runs as one shared-parameter (GEMM) batch; PredictBatch
+    // checks that the windows share one length.
+    row_params.assign(eval.size(), &models.worker_params[w]);
+    batch_inputs.resize(eval.size());
+    for (size_t i = 0; i < eval.size(); ++i) batch_inputs[i] = &eval[i].input;
+    batched_model_.PredictBatch(row_params, batch_inputs, &batch_preds,
+                                batch_scratch);
     double worker_se = 0.0, worker_ae = 0.0;
     int worker_matched = 0, worker_points = 0;
     for (size_t i = 0; i < eval.size(); ++i) {
       const TrainingSample& sample = eval[i];
-      nn::Sequence scalar_pred;
-      if (!batched) {
-        scalar_pred = model_.Predict(models.worker_params[w], sample.input,
-                                     &predict_scratch);
-      }
-      const nn::Sequence& pred = batched ? batch_preds[i] : scalar_pred;
+      const nn::Sequence& pred = batch_preds[i];
       for (size_t t = 0; t < pred.size(); ++t) {
         geo::Point pred_km = grid.Denormalize({pred[t][0], pred[t][1]});
         geo::Point true_km =

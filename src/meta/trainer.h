@@ -55,13 +55,6 @@ struct TrainerConfig {
   double ctml_beta = 1.0;
   int ctml_k = 4;
   uint64_t seed = 1;
-  /// Evaluate() batches each worker's held-out samples through the SoA
-  /// forecast engine (nn::BatchedSeq2Seq): all of a worker's eval samples
-  /// share one parameter vector, so every encoder/decoder step runs as a
-  /// true GEMM across the sample batch. Bitwise identical to the scalar
-  /// per-sample path (the parity reference), which also serves rows with
-  /// non-uniform input lengths.
-  bool batched_eval = true;
 };
 
 /// Per-worker prediction quality on held-out data.
@@ -104,7 +97,9 @@ class MobilityTrainer {
   TrainedModels Train(const std::vector<LearningTask>& tasks,
                       MetaAlgorithm algorithm);
 
-  /// Evaluates trained models on every task's held-out `eval` samples.
+  /// Evaluates trained models on every task's held-out `eval` samples,
+  /// each worker's samples as one shared-parameter (GEMM) batch through
+  /// nn::BatchedSeq2Seq, so a worker's eval windows must share one length.
   /// `match_radius_km` is the matching-rate threshold a (Def. 7).
   EvalResult Evaluate(const TrainedModels& models,
                       const std::vector<LearningTask>& tasks,
@@ -130,7 +125,7 @@ class MobilityTrainer {
 
   TrainerConfig config_;
   nn::EncoderDecoder model_;
-  /// Shares model_'s parameter layout; used by the batched Evaluate path.
+  /// Shares model_'s parameter layout; runs Evaluate's forecasts.
   nn::BatchedSeq2Seq batched_model_;
 };
 

@@ -1,5 +1,7 @@
 #include "nn/encoder_decoder.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace tamp::nn {
@@ -24,12 +26,10 @@ std::vector<double> EncoderDecoder::InitParams(Rng& rng) const {
   return params;
 }
 
-void EncoderDecoder::RunForward(
-    const std::vector<double>& params, const Sequence& input_seq,
-    const Sequence* teacher_targets, std::vector<LstmStepCache>* enc_caches,
-    std::vector<LstmStepCache>* dec_caches,
-    std::vector<std::vector<double>>* dec_hidden, Sequence* outputs,
-    PredictScratch* scratch) const {
+void EncoderDecoder::RunForward(const std::vector<double>& params,
+                                const Sequence& input_seq,
+                                const Sequence* teacher_targets,
+                                TrainScratch& s) const {
   TAMP_CHECK(params.size() == param_count_);
   TAMP_CHECK(!input_seq.empty());
   for (const auto& step : input_seq) {
@@ -39,48 +39,41 @@ void EncoderDecoder::RunForward(
   const size_t hd = static_cast<size_t>(config_.hidden_dim);
   const size_t seq_out = static_cast<size_t>(config_.seq_out);
   const size_t out_dim = static_cast<size_t>(config_.output_dim);
-  // State buffers come from the scratch when given (reused across calls;
-  // fully overwritten here, so results are identical either way).
-  std::vector<double> local_h;
-  std::vector<double> local_c;
-  std::vector<double> local_dec;
-  LstmStepCache local_cache;
-  std::vector<double>& h = scratch != nullptr ? scratch->h : local_h;
-  std::vector<double>& c = scratch != nullptr ? scratch->c : local_c;
-  h.assign(hd, 0.0);
-  c.assign(hd, 0.0);
+  s.h.assign(hd, 0.0);
+  s.c.assign(hd, 0.0);
 
-  if (enc_caches != nullptr) enc_caches->resize(input_seq.size());
-  LstmStepCache& step_cache =
-      scratch != nullptr ? scratch->cell : local_cache;
+  encoder_.ResizeTrace(s.enc, input_seq.size());
   for (size_t t = 0; t < input_seq.size(); ++t) {
-    LstmStepCache& cache =
-        enc_caches != nullptr ? (*enc_caches)[t] : step_cache;
-    encoder_.Forward(params, input_seq[t].data(), h, c, cache);
+    encoder_.Forward(params, input_seq[t].data(), s.h.data(), s.c.data(),
+                     s.enc, t);
   }
 
-  if (dec_caches != nullptr) dec_caches->resize(seq_out);
-  if (dec_hidden != nullptr) dec_hidden->resize(seq_out);
-
-  outputs->resize(seq_out);
+  decoder_.ResizeTrace(s.dec, seq_out);
+  s.dec_hidden.resize(seq_out * hd);
+  s.outputs.resize(seq_out * out_dim);
+  s.dec_input.resize(out_dim);
+  // The decoder input is a location: the first `out_dim` entries of its
+  // source, zero-padded.
+  auto load_dec_input = [&](const double* src, size_t n) {
+    for (size_t k = 0; k < out_dim; ++k) s.dec_input[k] = k < n ? src[k] : 0.0;
+  };
   // The decoder's first input is the most recent observed location; later
   // inputs are the previous ground truth (teacher forcing) or the previous
   // prediction (autoregressive inference).
-  std::vector<double>& dec_input =
-      scratch != nullptr ? scratch->dec_input : local_dec;
-  dec_input = input_seq.back();
-  dec_input.resize(out_dim, 0.0);
+  load_dec_input(input_seq.back().data(), input_seq.back().size());
   for (size_t t = 0; t < seq_out; ++t) {
-    LstmStepCache& cache =
-        dec_caches != nullptr ? (*dec_caches)[t] : step_cache;
-    decoder_.Forward(params, dec_input.data(), h, c, cache);
-    if (dec_hidden != nullptr) (*dec_hidden)[t] = h;
-    readout_.Forward(params, h.data(), (*outputs)[t]);
+    decoder_.Forward(params, s.dec_input.data(), s.h.data(), s.c.data(),
+                     s.dec, t);
+    std::copy(s.h.begin(), s.h.end(), s.dec_hidden.data() + t * hd);
+    double* out = s.outputs.data() + t * out_dim;
+    readout_.Forward(params, s.h.data(), out);
     if (t + 1 < seq_out) {
-      dec_input = teacher_targets != nullptr
-                      ? (*teacher_targets)[t]
-                      : (*outputs)[t];
-      dec_input.resize(out_dim, 0.0);
+      if (teacher_targets != nullptr) {
+        load_dec_input((*teacher_targets)[t].data(),
+                       (*teacher_targets)[t].size());
+      } else {
+        load_dec_input(out, out_dim);
+      }
     }
   }
 }
@@ -88,10 +81,15 @@ void EncoderDecoder::RunForward(
 Sequence EncoderDecoder::Predict(const std::vector<double>& params,
                                  const Sequence& input_seq,
                                  PredictScratch* scratch) const {
-  Sequence outputs;
-  RunForward(params, input_seq, /*teacher_targets=*/nullptr,
-             /*enc_caches=*/nullptr, /*dec_caches=*/nullptr,
-             /*dec_hidden=*/nullptr, &outputs, scratch);
+  PredictScratch local;
+  PredictScratch& s = scratch != nullptr ? *scratch : local;
+  RunForward(params, input_seq, /*teacher_targets=*/nullptr, s);
+  const size_t out_dim = static_cast<size_t>(config_.output_dim);
+  Sequence outputs(static_cast<size_t>(config_.seq_out));
+  for (size_t t = 0; t < outputs.size(); ++t) {
+    const double* row = s.outputs.data() + t * out_dim;
+    outputs[t].assign(row, row + out_dim);
+  }
   return outputs;
 }
 
@@ -99,37 +97,41 @@ double EncoderDecoder::LossAndGradient(const std::vector<double>& params,
                                        const Sequence& input_seq,
                                        const Sequence& target_seq,
                                        const std::vector<double>& step_weights,
-                                       std::vector<double>& grad) const {
+                                       std::vector<double>& grad,
+                                       TrainScratch* scratch) const {
   TAMP_CHECK(grad.size() == param_count_);
-  TAMP_CHECK(static_cast<int>(target_seq.size()) == config_.seq_out);
+  CheckTargetShape(target_seq);
+  TrainScratch local;
+  TrainScratch& s = scratch != nullptr ? *scratch : local;
+  RunForward(params, input_seq, &target_seq, s);
 
-  std::vector<LstmStepCache> enc_caches;
-  std::vector<LstmStepCache> dec_caches;
-  std::vector<std::vector<double>> dec_hidden;
-  Sequence outputs;
-  RunForward(params, input_seq, &target_seq, &enc_caches, &dec_caches,
-             &dec_hidden, &outputs, /*scratch=*/nullptr);
-
-  double loss = WeightedMseLoss::Value(outputs, target_seq, step_weights);
-  Sequence dout = WeightedMseLoss::Gradient(outputs, target_seq, step_weights);
+  double loss = WeightedMseLoss::Value(s.outputs.data(), target_seq,
+                                       step_weights);
+  s.dout.resize(s.outputs.size());
+  WeightedMseLoss::Gradient(s.outputs.data(), target_seq, step_weights,
+                            s.dout.data());
 
   const size_t hd = static_cast<size_t>(config_.hidden_dim);
-  std::vector<double> dh(hd, 0.0);
-  std::vector<double> dc(hd, 0.0);
-  std::vector<double> dh_step(hd);
+  const size_t out_dim = static_cast<size_t>(config_.output_dim);
+  s.dh.assign(hd, 0.0);
+  s.dc.assign(hd, 0.0);
+  s.dh_step.resize(hd);
+  s.dz.resize(4 * hd);
 
   // Backward through the decoder. Teacher forcing means decoder inputs are
-  // constants, so no gradient flows through dx; the recurrent state carries
-  // all credit back into the encoder.
+  // constants, so no gradient flows through them; the recurrent state
+  // carries all credit back into the encoder.
   for (size_t t = static_cast<size_t>(config_.seq_out); t-- > 0;) {
-    readout_.Backward(params, dec_hidden[t].data(), dout[t].data(), grad,
-                      dh_step.data());
-    for (size_t k = 0; k < hd; ++k) dh[k] += dh_step[k];
-    decoder_.Backward(params, dec_caches[t], dh, dc, grad, /*dx=*/nullptr);
+    readout_.Backward(params, s.dec_hidden.data() + t * hd,
+                      s.dout.data() + t * out_dim, grad, s.dh_step.data());
+    for (size_t k = 0; k < hd; ++k) s.dh[k] += s.dh_step[k];
+    decoder_.Backward(params, s.dec, t, s.dh.data(), s.dc.data(),
+                      s.dz.data(), grad);
   }
   // Backward through the encoder; input gradients are not needed.
-  for (size_t t = enc_caches.size(); t-- > 0;) {
-    encoder_.Backward(params, enc_caches[t], dh, dc, grad, /*dx=*/nullptr);
+  for (size_t t = input_seq.size(); t-- > 0;) {
+    encoder_.Backward(params, s.enc, t, s.dh.data(), s.dc.data(),
+                      s.dz.data(), grad);
   }
   return loss;
 }
@@ -139,12 +141,18 @@ double EncoderDecoder::EvalLoss(const std::vector<double>& params,
                                 const Sequence& target_seq,
                                 const std::vector<double>& step_weights,
                                 PredictScratch* scratch) const {
-  Sequence local;
-  Sequence& outputs = scratch != nullptr ? scratch->outputs : local;
-  RunForward(params, input_seq, /*teacher_targets=*/nullptr,
-             /*enc_caches=*/nullptr, /*dec_caches=*/nullptr,
-             /*dec_hidden=*/nullptr, &outputs, scratch);
-  return WeightedMseLoss::Value(outputs, target_seq, step_weights);
+  CheckTargetShape(target_seq);
+  PredictScratch local;
+  PredictScratch& s = scratch != nullptr ? *scratch : local;
+  RunForward(params, input_seq, /*teacher_targets=*/nullptr, s);
+  return WeightedMseLoss::Value(s.outputs.data(), target_seq, step_weights);
+}
+
+void EncoderDecoder::CheckTargetShape(const Sequence& target_seq) const {
+  TAMP_CHECK(static_cast<int>(target_seq.size()) == config_.seq_out);
+  for (const auto& step : target_seq) {
+    TAMP_CHECK(static_cast<int>(step.size()) == config_.output_dim);
+  }
 }
 
 }  // namespace tamp::nn

@@ -21,19 +21,32 @@ struct Seq2SeqConfig {
   int seq_out = 1;      // Number of future locations to emit.
 };
 
-/// Reusable buffers for the gradient-free forward passes. Without one,
-/// Predict / EvalLoss allocate the recurrent state, decoder input, step
-/// cache and (EvalLoss) the output sequence afresh on every call — pure
-/// allocator traffic on the rollout and evaluation hot loops. Passing a
-/// scratch (persisted across calls; shrink-then-grow safe) removes it;
-/// results are bitwise identical with or without one.
-struct PredictScratch {
-  LstmStepCache cell;
-  std::vector<double> h;
-  std::vector<double> c;
-  std::vector<double> dec_input;
-  Sequence outputs;  // EvalLoss's prediction buffer.
+/// Reusable buffers for EncoderDecoder's passes: the flat step-major BPTT
+/// caches of both cells, the decoder's hidden states, outputs and output
+/// gradients ([seq_out][width] each), and the backward temporaries.
+/// Without one, every call allocates them afresh; a scratch persisted
+/// across calls (shrink-then-grow safe, any model shape) makes
+/// LossAndGradient and EvalLoss allocation-free. Results are bitwise
+/// identical with or without one.
+struct TrainScratch {
+  LstmTrace enc;
+  LstmTrace dec;
+  std::vector<double> h;           // Recurrent hidden state [H].
+  std::vector<double> c;           // Recurrent cell state [H].
+  std::vector<double> dec_input;   // Current decoder input [output_dim].
+  std::vector<double> dec_hidden;  // [seq_out][H] decoder hidden states.
+  std::vector<double> outputs;     // [seq_out][output_dim] predictions.
+  std::vector<double> dout;        // [seq_out][output_dim] dLoss/doutputs.
+  // Backward temporaries: dh, dc and dh_step are [H], dz is [4H].
+  std::vector<double> dh;
+  std::vector<double> dc;
+  std::vector<double> dh_step;
+  std::vector<double> dz;
 };
+
+/// The gradient-free passes (Predict, EvalLoss) fill the forward half of
+/// the same buffers.
+using PredictScratch = TrainScratch;
 
 /// LSTM-Encoder-Decoder mobility prediction model with hand-written
 /// backpropagation-through-time.
@@ -65,33 +78,33 @@ class EncoderDecoder {
   /// Teacher-forced training pass on one (input, target) sample: runs the
   /// forward pass, computes the weighted MSE (Eq. 6; empty `step_weights`
   /// means plain MSE), and *accumulates* dLoss/dparams into `grad` (which
-  /// must be param_count() long). Returns the loss value.
+  /// must be param_count() long). Returns the loss value. `scratch`
+  /// (optional) reuses the BPTT buffers across calls.
   double LossAndGradient(const std::vector<double>& params,
                          const Sequence& input_seq, const Sequence& target_seq,
                          const std::vector<double>& step_weights,
-                         std::vector<double>& grad) const;
+                         std::vector<double>& grad,
+                         TrainScratch* scratch = nullptr) const;
 
   /// Loss of the autoregressive prediction against the target (no
   /// gradient); used for held-out evaluation. With a `scratch` the call is
-  /// allocation-free (the prediction lands in scratch->outputs).
+  /// allocation-free.
   double EvalLoss(const std::vector<double>& params, const Sequence& input_seq,
                   const Sequence& target_seq,
                   const std::vector<double>& step_weights,
                   PredictScratch* scratch = nullptr) const;
 
  private:
-  /// Shared forward machinery. When `teacher_targets` is non-null the
-  /// decoder consumes ground-truth previous locations (training); otherwise
-  /// it consumes its own predictions (inference). Caches are filled only
-  /// when `enc_caches`/`dec_caches` are non-null. Predictions land in
-  /// `*outputs` (resized to seq_out); `scratch` (optional) supplies the
-  /// recurrent-state / decoder-input / step-cache buffers.
+  /// Shared forward pass. When `teacher_targets` is non-null the decoder
+  /// consumes ground-truth previous locations (training); otherwise it
+  /// consumes its own predictions (inference). Fills the forward half of
+  /// `scratch`: both cell traces, dec_hidden and outputs.
   void RunForward(const std::vector<double>& params,
                   const Sequence& input_seq, const Sequence* teacher_targets,
-                  std::vector<LstmStepCache>* enc_caches,
-                  std::vector<LstmStepCache>* dec_caches,
-                  std::vector<std::vector<double>>* dec_hidden,
-                  Sequence* outputs, PredictScratch* scratch) const;
+                  TrainScratch& scratch) const;
+
+  /// Checks `target_seq` is seq_out steps of output_dim entries each.
+  void CheckTargetShape(const Sequence& target_seq) const;
 
   Seq2SeqConfig config_;
   LstmCell encoder_;

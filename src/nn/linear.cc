@@ -18,12 +18,11 @@ void Linear::InitParams(Rng& rng, std::vector<double>& params) const {
 }
 
 void Linear::Forward(const std::vector<double>& params, const double* x,
-                     std::vector<double>& y) const {
+                     double* y) const {
   const size_t in = static_cast<size_t>(in_dim_);
   const size_t out = static_cast<size_t>(out_dim_);
   const double* w = params.data() + offset_;
   const double* b = w + out * in;
-  y.assign(out, 0.0);
   for (size_t r = 0; r < out; ++r) {
     double acc = b[r];
     const double* wr = w + r * in;

@@ -28,9 +28,9 @@ class Linear {
   /// Xavier-initializes this layer's slice of `params`.
   void InitParams(Rng& rng, std::vector<double>& params) const;
 
-  /// y = W x + b. `x` has in_dim entries; `y` is resized to out_dim.
+  /// y = W x + b. `x` has in_dim entries; `y` receives out_dim.
   void Forward(const std::vector<double>& params, const double* x,
-               std::vector<double>& y) const;
+               double* y) const;
 
   /// Accumulates parameter gradients into `grad` and (if dx != nullptr)
   /// writes the input gradient. `dy` has out_dim entries; `x` is the input

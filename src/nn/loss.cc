@@ -1,58 +1,51 @@
 #include "nn/loss.h"
 
+#include <cstddef>
+
 #include "common/check.h"
 
 namespace tamp::nn {
 namespace {
 
-void CheckShapes(const Sequence& predicted, const Sequence& target,
-                 const std::vector<double>& weights) {
-  TAMP_CHECK(!predicted.empty());
-  TAMP_CHECK(predicted.size() == target.size());
-  TAMP_CHECK(weights.empty() || weights.size() == predicted.size());
-  for (size_t t = 0; t < predicted.size(); ++t) {
-    TAMP_CHECK(predicted[t].size() == target[t].size());
-    TAMP_CHECK(!predicted[t].empty());
+/// Number of flat prediction entries; checks the target/weight shapes.
+size_t CheckShapes(const Sequence& target, const std::vector<double>& weights) {
+  TAMP_CHECK(!target.empty());
+  TAMP_CHECK(weights.empty() || weights.size() == target.size());
+  size_t terms = 0;
+  for (const auto& step : target) {
+    TAMP_CHECK(!step.empty());
+    terms += step.size();
   }
+  return terms;
 }
 
 }  // namespace
 
-double WeightedMseLoss::Value(const Sequence& predicted,
-                              const Sequence& target,
+double WeightedMseLoss::Value(const double* predicted, const Sequence& target,
                               const std::vector<double>& weights) {
-  CheckShapes(predicted, target, weights);
+  const size_t terms = CheckShapes(target, weights);
   double acc = 0.0;
-  size_t terms = 0;
-  for (size_t t = 0; t < predicted.size(); ++t) {
+  for (size_t t = 0; t < target.size(); ++t) {
     double w = weights.empty() ? 1.0 : weights[t];
-    for (size_t d = 0; d < predicted[t].size(); ++d) {
-      double diff = predicted[t][d] - target[t][d];
+    for (size_t d = 0; d < target[t].size(); ++d) {
+      double diff = *predicted++ - target[t][d];
       acc += w * diff * diff;
     }
-    terms += predicted[t].size();
   }
   // Trust boundary: a NaN/Inf loss silently corrupts meta-training curves.
   return TAMP_CHECK_FINITE(acc / static_cast<double>(terms));
 }
 
-Sequence WeightedMseLoss::Gradient(const Sequence& predicted,
-                                   const Sequence& target,
-                                   const std::vector<double>& weights) {
-  CheckShapes(predicted, target, weights);
-  size_t terms = 0;
-  for (const auto& step : predicted) terms += step.size();
-  double scale = 2.0 / static_cast<double>(terms);
-  Sequence grad(predicted.size());
-  for (size_t t = 0; t < predicted.size(); ++t) {
+void WeightedMseLoss::Gradient(const double* predicted, const Sequence& target,
+                               const std::vector<double>& weights,
+                               double* grad) {
+  double scale = 2.0 / static_cast<double>(CheckShapes(target, weights));
+  for (size_t t = 0; t < target.size(); ++t) {
     double w = weights.empty() ? 1.0 : weights[t];
-    grad[t].resize(predicted[t].size());
-    for (size_t d = 0; d < predicted[t].size(); ++d) {
-      grad[t][d] = TAMP_CHECK_FINITE(scale * w *
-                                     (predicted[t][d] - target[t][d]));
+    for (size_t d = 0; d < target[t].size(); ++d) {
+      *grad++ = TAMP_CHECK_FINITE(scale * w * (*predicted++ - target[t][d]));
     }
   }
-  return grad;
 }
 
 }  // namespace tamp::nn

@@ -12,17 +12,20 @@ using Sequence = std::vector<std::vector<double>>;
 /// normalized additionally by the point dimensionality so losses are
 /// comparable across output dims. With all weights equal to 1 this is the
 /// plain MSE loss the baselines (KM-loss / PPI-loss) train with.
+///
+/// Predictions are flat: `predicted` holds the target's steps back to back
+/// (step t has target[t].size() entries), the training kernel's layout.
 class WeightedMseLoss {
  public:
   /// Loss value. `weights` has one entry per sequence step; pass an empty
-  /// vector for uniform (plain MSE) weights. Sequences must be non-empty
-  /// and shape-consistent.
-  static double Value(const Sequence& predicted, const Sequence& target,
+  /// vector for uniform (plain MSE) weights. `target` must be non-empty
+  /// with non-empty steps.
+  static double Value(const double* predicted, const Sequence& target,
                       const std::vector<double>& weights);
 
-  /// dL/d(predicted); same shape as `predicted`.
-  static Sequence Gradient(const Sequence& predicted, const Sequence& target,
-                           const std::vector<double>& weights);
+  /// Writes dL/d(predicted) into `grad` (same flat layout as `predicted`).
+  static void Gradient(const double* predicted, const Sequence& target,
+                       const std::vector<double>& weights, double* grad);
 };
 
 }  // namespace tamp::nn

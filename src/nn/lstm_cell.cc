@@ -1,5 +1,6 @@
 #include "nn/lstm_cell.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -32,107 +33,111 @@ void LstmCell::InitParams(Rng& rng, std::vector<double>& params) const {
   Fill(b + hd, hd, 1.0);
 }
 
+void LstmCell::ResizeTrace(LstmTrace& trace, size_t steps) const {
+  const size_t hd = static_cast<size_t>(hidden_dim_);
+  trace.x.resize(steps * static_cast<size_t>(input_dim_));
+  trace.h_prev.resize(steps * hd);
+  trace.c_prev.resize(steps * hd);
+  trace.gates.resize(steps * 4 * hd);
+  trace.tanh_c.resize(steps * hd);
+}
+
 void LstmCell::Forward(const std::vector<double>& params, const double* x,
-                       std::vector<double>& h, std::vector<double>& c,
-                       LstmStepCache& cache) const {
+                       double* h, double* c, LstmTrace& trace,
+                       size_t step) const {
   const size_t id = static_cast<size_t>(input_dim_);
   const size_t hd = static_cast<size_t>(hidden_dim_);
   const size_t h4 = 4 * hd;
+  TAMP_CHECK(trace.tanh_c.size() >= (step + 1) * hd);
   const double* wx = params.data() + offset_;
   const double* wh = wx + h4 * id;
   const double* b = wh + h4 * hd;
+  double* tx = trace.x.data() + step * id;
+  double* h_prev = trace.h_prev.data() + step * hd;
+  double* c_prev = trace.c_prev.data() + step * hd;
+  double* gates = trace.gates.data() + step * h4;
+  double* tanh_c = trace.tanh_c.data() + step * hd;
+  std::copy(x, x + id, tx);
+  std::copy(h, h + hd, h_prev);
+  std::copy(c, c + hd, c_prev);
 
-  cache.x.assign(x, x + id);
-  cache.h_prev = h;
-  cache.c_prev = c;
-
-  // z = W_x x + W_h h_prev + b, gate blocks [i f g o]. The buffer lives in
-  // the cache so a reused cache makes the step allocation-free; every
-  // entry is overwritten below.
-  cache.z.resize(h4);
-  std::vector<double>& z = cache.z;
+  // z = W_x x + W_h h_prev + b, gate blocks [i f g o], computed into the
+  // gate row and activated in place below.
   for (size_t r = 0; r < h4; ++r) {
     double acc = b[r];
     const double* wxr = wx + r * id;
-    for (size_t k = 0; k < id; ++k) acc += wxr[k] * x[k];
+    for (size_t k = 0; k < id; ++k) acc += wxr[k] * tx[k];
     const double* whr = wh + r * hd;
-    for (size_t k = 0; k < hd; ++k) acc += whr[k] * cache.h_prev[k];
-    z[r] = acc;
+    for (size_t k = 0; k < hd; ++k) acc += whr[k] * h_prev[k];
+    gates[r] = acc;
   }
 
-  cache.i.resize(hd);
-  cache.f.resize(hd);
-  cache.g.resize(hd);
-  cache.o.resize(hd);
-  cache.c.resize(hd);
-  cache.tanh_c.resize(hd);
+  double* i = gates;
+  double* f = gates + hd;
+  double* g = gates + 2 * hd;
+  double* o = gates + 3 * hd;
   for (size_t k = 0; k < hd; ++k) {
-    cache.i[k] = Sigmoid(z[k]);
-    cache.f[k] = Sigmoid(z[hd + k]);
-    cache.g[k] = std::tanh(z[2 * hd + k]);
-    cache.o[k] = Sigmoid(z[3 * hd + k]);
-    cache.c[k] = cache.f[k] * cache.c_prev[k] + cache.i[k] * cache.g[k];
-    cache.tanh_c[k] = std::tanh(cache.c[k]);
+    i[k] = Sigmoid(i[k]);
+    f[k] = Sigmoid(f[k]);
+    g[k] = std::tanh(g[k]);
+    o[k] = Sigmoid(o[k]);
+    c[k] = f[k] * c_prev[k] + i[k] * g[k];
+    tanh_c[k] = std::tanh(c[k]);
+    h[k] = o[k] * tanh_c[k];
   }
-  c = cache.c;
-  h.resize(hd);
-  for (size_t k = 0; k < hd; ++k) h[k] = cache.o[k] * cache.tanh_c[k];
 }
 
 void LstmCell::Backward(const std::vector<double>& params,
-                        const LstmStepCache& cache, std::vector<double>& dh,
-                        std::vector<double>& dc, std::vector<double>& grad,
-                        double* dx) const {
+                        const LstmTrace& trace, size_t step, double* dh,
+                        double* dc, double* dz,
+                        std::vector<double>& grad) const {
   TAMP_CHECK(grad.size() == params.size());
   const size_t id = static_cast<size_t>(input_dim_);
   const size_t hd = static_cast<size_t>(hidden_dim_);
   const size_t h4 = 4 * hd;
-  const double* wx = params.data() + offset_;
-  const double* wh = wx + h4 * id;
+  TAMP_CHECK(trace.tanh_c.size() >= (step + 1) * hd);
+  const double* wh = params.data() + offset_ + h4 * id;
   double* dwx = grad.data() + offset_;
   double* dwh = dwx + h4 * id;
   double* db = dwh + h4 * hd;
+  const double* x = trace.x.data() + step * id;
+  const double* h_prev = trace.h_prev.data() + step * hd;
+  const double* c_prev = trace.c_prev.data() + step * hd;
+  const double* gates = trace.gates.data() + step * h4;
+  const double* tanh_c = trace.tanh_c.data() + step * hd;
 
-  // Gate pre-activation gradients dz, blocks [i f g o].
-  std::vector<double> dz(h4);
-  std::vector<double> dc_prev(hd);
+  // Gate pre-activation gradients dz, blocks [i f g o]; dc becomes the
+  // gradient w.r.t. c_prev.
   for (size_t k = 0; k < hd; ++k) {
-    double i = cache.i[k], f = cache.f[k], g = cache.g[k], o = cache.o[k];
-    double tc = cache.tanh_c[k];
+    double i = gates[k], f = gates[hd + k], g = gates[2 * hd + k],
+           o = gates[3 * hd + k];
+    double tc = tanh_c[k];
     double d_o = dh[k] * tc;
     double d_c = dc[k] + dh[k] * o * (1.0 - tc * tc);
     double d_i = d_c * g;
-    double d_f = d_c * cache.c_prev[k];
+    double d_f = d_c * c_prev[k];
     double d_g = d_c * i;
     dz[k] = d_i * i * (1.0 - i);
     dz[hd + k] = d_f * f * (1.0 - f);
     dz[2 * hd + k] = d_g * (1.0 - g * g);
     dz[3 * hd + k] = d_o * o * (1.0 - o);
-    dc_prev[k] = d_c * f;
+    dc[k] = d_c * f;
   }
 
-  std::vector<double> dh_prev(hd, 0.0);
-  if (dx != nullptr) {
-    for (size_t k = 0; k < id; ++k) dx[k] = 0.0;
-  }
+  // dh is fully consumed above; it now accumulates the h_prev gradient.
+  std::fill(dh, dh + hd, 0.0);
   for (size_t r = 0; r < h4; ++r) {
     double gz = dz[r];
     db[r] += gz;
-    const double* wxr = wx + r * id;
     double* dwxr = dwx + r * id;
-    for (size_t k = 0; k < id; ++k) {
-      dwxr[k] += gz * cache.x[k];
-      if (dx != nullptr) dx[k] += gz * wxr[k];
-    }
+    for (size_t k = 0; k < id; ++k) dwxr[k] += gz * x[k];
     const double* whr = wh + r * hd;
     double* dwhr = dwh + r * hd;
     for (size_t k = 0; k < hd; ++k) {
-      dwhr[k] += gz * cache.h_prev[k];
-      dh_prev[k] += gz * whr[k];
+      dwhr[k] += gz * h_prev[k];
+      dh[k] += gz * whr[k];
     }
   }
-  dh = std::move(dh_prev);
-  dc = std::move(dc_prev);
 }
 
 }  // namespace tamp::nn

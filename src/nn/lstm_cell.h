@@ -7,20 +7,17 @@
 
 namespace tamp::nn {
 
-/// Per-timestep activation cache written by LstmCell::Forward and consumed
-/// by LstmCell::Backward during backpropagation-through-time.
-struct LstmStepCache {
-  std::vector<double> x;       // Input at this step.
-  std::vector<double> h_prev;  // Hidden state entering the step.
-  std::vector<double> c_prev;  // Cell state entering the step.
-  std::vector<double> i;       // Input gate (post-sigmoid).
-  std::vector<double> f;       // Forget gate (post-sigmoid).
-  std::vector<double> g;       // Candidate (post-tanh).
-  std::vector<double> o;       // Output gate (post-sigmoid).
-  std::vector<double> c;       // New cell state.
-  std::vector<double> tanh_c;  // tanh(c), reused in backward.
-  std::vector<double> z;       // Pre-activation scratch (forward only;
-                               // never read by Backward).
+/// Flat BPTT activation trace of one LstmCell over a sequence, written by
+/// LstmCell::Forward and consumed by LstmCell::Backward. Every field is one
+/// contiguous step-major [step][width] array; LstmCell::ResizeTrace only
+/// grows capacity, so a trace reused across calls makes the forward and
+/// backward passes allocation-free.
+struct LstmTrace {
+  std::vector<double> x;       // [step][input_dim] input.
+  std::vector<double> h_prev;  // [step][H] hidden state entering the step.
+  std::vector<double> c_prev;  // [step][H] cell state entering the step.
+  std::vector<double> gates;   // [step][4H] post-activation [i f g o].
+  std::vector<double> tanh_c;  // [step][H] tanh(c), reused in backward.
 };
 
 /// A single LSTM cell with parameters stored in a caller-provided flat
@@ -47,20 +44,22 @@ class LstmCell {
   /// Xavier weights; forget-gate bias initialized to 1.
   void InitParams(Rng& rng, std::vector<double>& params) const;
 
-  /// One timestep. `x` has input_dim entries; h/c are the recurrent state
-  /// (hidden_dim each) and are updated in place. Fills `cache` for the
-  /// backward pass.
-  void Forward(const std::vector<double>& params, const double* x,
-               std::vector<double>& h, std::vector<double>& c,
-               LstmStepCache& cache) const;
+  /// Sizes `trace` for `steps` timesteps (contents unspecified).
+  void ResizeTrace(LstmTrace& trace, size_t steps) const;
 
-  /// Backward through one timestep. `dh`/`dc` carry the gradient w.r.t. the
-  /// step's outputs and are replaced with the gradient w.r.t. the incoming
-  /// h_prev/c_prev. Parameter gradients accumulate into `grad`; if
-  /// dx != nullptr the input gradient is written there.
-  void Backward(const std::vector<double>& params, const LstmStepCache& cache,
-                std::vector<double>& dh, std::vector<double>& dc,
-                std::vector<double>& grad, double* dx) const;
+  /// One timestep. `x` has input_dim entries; `h`/`c` (hidden_dim each)
+  /// are the recurrent state and are updated in place. Records the step's
+  /// activations in row `step` of `trace` for the backward pass.
+  void Forward(const std::vector<double>& params, const double* x, double* h,
+               double* c, LstmTrace& trace, size_t step) const;
+
+  /// Backward through row `step` of `trace`. `dh`/`dc` (hidden_dim each)
+  /// carry the gradient w.r.t. the step's outputs and are replaced with the
+  /// gradient w.r.t. the incoming h_prev/c_prev. `dz` is 4 * hidden_dim
+  /// scratch. Parameter gradients accumulate into `grad`.
+  void Backward(const std::vector<double>& params, const LstmTrace& trace,
+                size_t step, double* dh, double* dc, double* dz,
+                std::vector<double>& grad) const;
 
  private:
   int input_dim_;

@@ -1,19 +1,21 @@
 // Bit-identity contract of the batched SoA forecast engine
 // (nn::BatchedSeq2Seq) against the scalar per-worker reference: raw
 // PredictBatch vs Predict, the fleet rollout, scratch shrink-then-grow
-// reuse, the trainer's batched Evaluate, the full simulator plan, and the
+// reuse, the trainer's Evaluate, the full simulator plan, and the
 // thread-invariant work counters. Every comparison is EXPECT_EQ on
 // doubles — exact, not approximate.
 #include "nn/batched_seq2seq.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "common/obs/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/rollout.h"
+#include "geo/point.h"
 #include "meta/trainer.h"
 #include "nn/encoder_decoder.h"
 
@@ -207,11 +209,17 @@ TEST(BatchedSeq2SeqTest, PredictScratchShrinkThenGrowParity) {
   }
 }
 
-TEST(BatchedSeq2SeqTest, TrainerEvaluateBatchedMatchesScalar) {
+/// Evaluate runs each worker's eval set as one PredictBatch; its metrics
+/// must equal per-sample EncoderDecoder::Predict calls folded the same way.
+/// Worker 3's windows are shorter than the others': batches are per
+/// worker, so only a worker's own windows must share a length.
+TEST(BatchedSeq2SeqTest, TrainerEvaluateMatchesDirectPredict) {
   meta::TrainerConfig config;
   config.model.hidden_dim = 6;
   tamp::Rng rng(43);
   EncoderDecoder model(config.model);
+  geo::GridSpec grid(20.0, 10.0, 50, 100);
+  const double radius_km = 2.0;
 
   meta::TrainedModels models;
   models.model_config = config.model;
@@ -220,12 +228,9 @@ TEST(BatchedSeq2SeqTest, TrainerEvaluateBatchedMatchesScalar) {
     models.worker_params.push_back(model.InitParams(rng));
     meta::LearningTask task;
     task.worker_id = w;
-    // Worker 3's eval windows have mixed lengths: the batched path must
-    // fall back to the scalar chain for that worker and still agree.
     for (int i = 0; i < 4; ++i) {
       meta::TrainingSample sample;
-      int steps = (w == 3 && i % 2 == 1) ? 3 : 4;
-      sample.input = MakeWindow(rng, steps, 2);
+      sample.input = MakeWindow(rng, w == 3 ? 3 : 4, 2);
       sample.target.push_back({rng.Uniform01(), rng.Uniform01()});
       sample.target_km.push_back(
           {sample.target[0][0] * 20.0, sample.target[0][1] * 10.0});
@@ -234,31 +239,57 @@ TEST(BatchedSeq2SeqTest, TrainerEvaluateBatchedMatchesScalar) {
     tasks.push_back(std::move(task));
   }
 
-  geo::GridSpec grid(20.0, 10.0, 50, 100);
+  // The reference: Evaluate's per-worker fold over direct Predict calls.
+  std::vector<meta::PredictionMetrics> expected(tasks.size());
+  double se_sum = 0.0, ae_sum = 0.0;
+  int matched_total = 0, points_total = 0;
+  for (size_t w = 0; w < tasks.size(); ++w) {
+    double se = 0.0, ae = 0.0;
+    int matched = 0, points = 0;
+    for (const meta::TrainingSample& sample : tasks[w].eval) {
+      Sequence pred = model.Predict(models.worker_params[w], sample.input);
+      for (size_t t = 0; t < pred.size(); ++t) {
+        double d = geo::Distance(
+            grid.Denormalize({pred[t][0], pred[t][1]}),
+            grid.Denormalize({sample.target[t][0], sample.target[t][1]}));
+        se += d * d;
+        ae += d;
+        if (d <= radius_km) ++matched;
+        ++points;
+      }
+    }
+    expected[w].rmse_km = std::sqrt(se / points);
+    expected[w].mae_km = ae / points;
+    expected[w].matching_rate = static_cast<double>(matched) / points;
+    se_sum += se;
+    ae_sum += ae;
+    matched_total += matched;
+    points_total += points;
+  }
+
   for (int threads : {1, 4}) {
     ThreadCountGuard guard(threads);
-    meta::TrainerConfig batched_config = config;
-    batched_config.batched_eval = true;
-    meta::TrainerConfig scalar_config = config;
-    scalar_config.batched_eval = false;
-    meta::EvalResult batched =
-        meta::MobilityTrainer(batched_config).Evaluate(models, tasks, grid,
-                                                       2.0);
-    meta::EvalResult scalar =
-        meta::MobilityTrainer(scalar_config).Evaluate(models, tasks, grid,
-                                                      2.0);
-    EXPECT_EQ(batched.aggregate.rmse_km, scalar.aggregate.rmse_km);
-    EXPECT_EQ(batched.aggregate.mae_km, scalar.aggregate.mae_km);
-    EXPECT_EQ(batched.aggregate.matching_rate, scalar.aggregate.matching_rate);
-    EXPECT_EQ(batched.aggregate.num_points, scalar.aggregate.num_points);
-    ASSERT_EQ(batched.per_worker.size(), scalar.per_worker.size());
-    for (size_t w = 0; w < scalar.per_worker.size(); ++w) {
-      EXPECT_EQ(batched.per_worker[w].rmse_km, scalar.per_worker[w].rmse_km);
-      EXPECT_EQ(batched.per_worker[w].mae_km, scalar.per_worker[w].mae_km);
-      EXPECT_EQ(batched.per_worker[w].matching_rate,
-                scalar.per_worker[w].matching_rate);
+    meta::EvalResult got =
+        meta::MobilityTrainer(config).Evaluate(models, tasks, grid, radius_km);
+    EXPECT_EQ(got.aggregate.rmse_km, std::sqrt(se_sum / points_total));
+    EXPECT_EQ(got.aggregate.mae_km, ae_sum / points_total);
+    EXPECT_EQ(got.aggregate.matching_rate,
+              static_cast<double>(matched_total) / points_total);
+    EXPECT_EQ(got.aggregate.num_points, points_total);
+    ASSERT_EQ(got.per_worker.size(), expected.size());
+    for (size_t w = 0; w < expected.size(); ++w) {
+      EXPECT_EQ(got.per_worker[w].rmse_km, expected[w].rmse_km);
+      EXPECT_EQ(got.per_worker[w].mae_km, expected[w].mae_km);
+      EXPECT_EQ(got.per_worker[w].matching_rate, expected[w].matching_rate);
     }
   }
+
+  // Mixed window lengths within one worker are rejected, not forecast.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  tasks[1].eval[2].input.pop_back();
+  EXPECT_DEATH(
+      meta::MobilityTrainer(config).Evaluate(models, tasks, grid, radius_km),
+      "share one input length");
 }
 
 /// The work counters are part of the bench gate, so they must not depend

@@ -50,8 +50,8 @@ TEST(LinearGradientTest, MatchesFiniteDifferences) {
   std::vector<double> target = {0.2, -0.1};
 
   auto loss_fn = [&](const std::vector<double>& p) {
-    std::vector<double> y;
-    layer.Forward(p, x.data(), y);
+    std::vector<double> y(2);
+    layer.Forward(p, x.data(), y.data());
     double loss = 0.0;
     for (size_t i = 0; i < y.size(); ++i) {
       loss += (y[i] - target[i]) * (y[i] - target[i]);
@@ -60,8 +60,8 @@ TEST(LinearGradientTest, MatchesFiniteDifferences) {
   };
 
   // Analytic gradient: dL/dy = 2(y - t), backprop through the layer.
-  std::vector<double> y;
-  layer.Forward(params, x.data(), y);
+  std::vector<double> y(2);
+  layer.Forward(params, x.data(), y.data());
   std::vector<double> dy(y.size());
   for (size_t i = 0; i < y.size(); ++i) dy[i] = 2.0 * (y[i] - target[i]);
   std::vector<double> grad(params.size(), 0.0);
@@ -80,13 +80,13 @@ TEST(LinearGradientTest, InputGradientMatchesFiniteDifferences) {
   std::vector<double> x = {0.5, -0.3, 0.8};
 
   auto loss_of_x = [&](const std::vector<double>& xin) {
-    std::vector<double> y;
-    layer.Forward(params, xin.data(), y);
+    std::vector<double> y(2);
+    layer.Forward(params, xin.data(), y.data());
     return y[0] * y[0] + 0.5 * y[1];
   };
 
-  std::vector<double> y;
-  layer.Forward(params, x.data(), y);
+  std::vector<double> y(2);
+  layer.Forward(params, x.data(), y.data());
   std::vector<double> dy = {2.0 * y[0], 0.5};
   std::vector<double> grad(params.size(), 0.0);
   std::vector<double> dx(x.size());
@@ -107,24 +107,28 @@ TEST(LstmCellGradientTest, MatchesFiniteDifferencesThroughTwoSteps) {
   // Scalar objective: sum of final hidden state entries squared.
   auto loss_fn = [&](const std::vector<double>& p) {
     std::vector<double> h(hidden, 0.0), c(hidden, 0.0);
-    LstmStepCache cache;
-    for (const auto& x : xs) cell.Forward(p, x.data(), h, c, cache);
+    LstmTrace trace;
+    cell.ResizeTrace(trace, xs.size());
+    for (size_t t = 0; t < xs.size(); ++t) {
+      cell.Forward(p, xs[t].data(), h.data(), c.data(), trace, t);
+    }
     double loss = 0.0;
     for (double v : h) loss += v * v;
     return loss;
   };
 
-  // Analytic: forward with caches, backprop both steps.
+  // Analytic: forward into a flat trace, backprop both steps.
   std::vector<double> h(hidden, 0.0), c(hidden, 0.0);
-  std::vector<LstmStepCache> caches(xs.size());
+  LstmTrace trace;
+  cell.ResizeTrace(trace, xs.size());
   for (size_t t = 0; t < xs.size(); ++t) {
-    cell.Forward(params, xs[t].data(), h, c, caches[t]);
+    cell.Forward(params, xs[t].data(), h.data(), c.data(), trace, t);
   }
-  std::vector<double> dh(hidden), dc(hidden, 0.0);
+  std::vector<double> dh(hidden), dc(hidden, 0.0), dz(4 * hidden);
   for (int k = 0; k < hidden; ++k) dh[k] = 2.0 * h[k];
   std::vector<double> grad(params.size(), 0.0);
-  for (int t = static_cast<int>(xs.size()) - 1; t >= 0; --t) {
-    cell.Backward(params, caches[t], dh, dc, grad, nullptr);
+  for (size_t t = xs.size(); t-- > 0;) {
+    cell.Backward(params, trace, t, dh.data(), dc.data(), dz.data(), grad);
   }
 
   std::vector<double> numeric = NumericalGradient(loss_fn, params);
@@ -142,13 +146,15 @@ TEST(EncoderDecoderGradientTest, MatchesFiniteDifferences) {
   Sequence input = {{0.2, 0.3}, {0.25, 0.35}, {0.3, 0.4}};
   Sequence target = {{0.35, 0.45}, {0.4, 0.5}};
 
+  // Every pass shares one TrainScratch, as BatchLossAndGradient does.
+  TrainScratch scratch;
   auto loss_fn = [&](const std::vector<double>& p) {
-    std::vector<double> scratch(p.size(), 0.0);
-    return model.LossAndGradient(p, input, target, {}, scratch);
+    std::vector<double> unused(p.size(), 0.0);
+    return model.LossAndGradient(p, input, target, {}, unused, &scratch);
   };
 
   std::vector<double> grad(params.size(), 0.0);
-  model.LossAndGradient(params, input, target, {}, grad);
+  model.LossAndGradient(params, input, target, {}, grad, &scratch);
   std::vector<double> numeric = NumericalGradient(loss_fn, params);
   EXPECT_LT(MaxRelError(grad, numeric), 1e-4);
 }
@@ -165,13 +171,51 @@ TEST(EncoderDecoderGradientTest, WeightedLossGradientMatches) {
   Sequence target = {{0.3, 0.7}, {0.4, 0.6}};
   std::vector<double> weights = {2.5, 0.5};  // Task-oriented step weights.
 
+  TrainScratch scratch;
   auto loss_fn = [&](const std::vector<double>& p) {
-    std::vector<double> scratch(p.size(), 0.0);
-    return model.LossAndGradient(p, input, target, weights, scratch);
+    std::vector<double> unused(p.size(), 0.0);
+    return model.LossAndGradient(p, input, target, weights, unused, &scratch);
   };
 
   std::vector<double> grad(params.size(), 0.0);
-  model.LossAndGradient(params, input, target, weights, grad);
+  model.LossAndGradient(params, input, target, weights, grad, &scratch);
+  std::vector<double> numeric = NumericalGradient(loss_fn, params);
+  EXPECT_LT(MaxRelError(grad, numeric), 1e-4);
+}
+
+/// The production shape family: (x, y, time-of-day) inputs and a 3-step
+/// teacher-forced decoder, through a scratch first used at another shape.
+TEST(EncoderDecoderGradientTest, TimeInputLongHorizonMatches) {
+  tamp::Rng rng(8);
+  Seq2SeqConfig config;
+  config.input_dim = 3;
+  config.hidden_dim = 4;
+  config.seq_out = 3;
+  EncoderDecoder model(config);
+  std::vector<double> params = model.InitParams(rng);
+
+  Sequence input = {{0.2, 0.3, 0.1}, {0.25, 0.35, 0.2}, {0.3, 0.4, 0.3},
+                    {0.32, 0.41, 0.4}};
+  Sequence target = {{0.35, 0.45}, {0.4, 0.5}, {0.42, 0.55}};
+  std::vector<double> weights = {1.5, 1.0, 0.5};
+
+  TrainScratch scratch;
+  {
+    Seq2SeqConfig other;
+    other.hidden_dim = 7;
+    EncoderDecoder warm(other);
+    std::vector<double> warm_params = warm.InitParams(rng);
+    std::vector<double> warm_grad(warm_params.size(), 0.0);
+    warm.LossAndGradient(warm_params, {{0.1, 0.2}}, {{0.3, 0.4}}, {},
+                         warm_grad, &scratch);
+  }
+  auto loss_fn = [&](const std::vector<double>& p) {
+    std::vector<double> unused(p.size(), 0.0);
+    return model.LossAndGradient(p, input, target, weights, unused, &scratch);
+  };
+
+  std::vector<double> grad(params.size(), 0.0);
+  model.LossAndGradient(params, input, target, weights, grad, &scratch);
   std::vector<double> numeric = NumericalGradient(loss_fn, params);
   EXPECT_LT(MaxRelError(grad, numeric), 1e-4);
 }
