@@ -1,15 +1,20 @@
 // Micro-benchmarks of batch candidate generation: the dense T x W sweep
 // vs the CandidateIndex-pruned path that PPI/KM/GGPSO share, plus the
-// per-batch index build itself. RegisterMicroMetrics records the
+// per-batch index build itself and one whole GGPSO solve at the replay's
+// shape. RegisterMicroMetrics records the
 // deterministic work counts (evaluations, pruned pairs, reduction factor)
 // that tools/bench_compare gates on.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "assign/candidate_index.h"
 #include "assign/candidates.h"
+#include "assign/ggpso.h"
 #include "data/workload.h"
 #include "micro_main.h"
 
@@ -112,6 +117,28 @@ void BM_GenerateCandidatesIndexed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GenerateCandidatesIndexed)->Arg(60)->Arg(240)->Arg(960);
+
+/// One GGPSO solve (candidates, then the whole generation loop) over the
+/// first range(0) tasks of the batch against range(1) workers. A replay
+/// trigger sees about 10 available workers: {19, 10} is a `train`-style
+/// pool, {200, 10} a surge backlog.
+void BM_GgpsoAssign(benchmark::State& state) {
+  const Batch& batch = PortoBatch(static_cast<int>(state.range(1)));
+  const size_t num_tasks =
+      std::min(batch.tasks.size(), static_cast<size_t>(state.range(0)));
+  const std::vector<tamp::assign::SpatialTask> tasks(
+      batch.tasks.begin(),
+      batch.tasks.begin() + static_cast<std::ptrdiff_t>(num_tasks));
+  tamp::assign::GgpsoConfig config;
+  config.match_radius_km = kMatchRadiusKm;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        tamp::assign::GgpsoAssign(tasks, batch.workers, batch.now, config)
+            .pairs.size());
+  }
+  state.counters["tasks"] = static_cast<double>(num_tasks);
+}
+BENCHMARK(BM_GgpsoAssign)->Args({19, 10})->Args({200, 10});
 
 }  // namespace
 

@@ -277,12 +277,12 @@ void FleetBatchedBench(benchmark::State& state, const Fleet& fleet,
 void BM_FleetRolloutScalarPorto(benchmark::State& state) {
   FleetScalarBench(state, PortoFleet());
 }
-BENCHMARK(BM_FleetRolloutScalarPorto)->Arg(60)->Arg(240)->Arg(960);
+BENCHMARK(BM_FleetRolloutScalarPorto)->Arg(10)->Arg(60)->Arg(240)->Arg(960);
 
 void BM_FleetRolloutBatchedPorto(benchmark::State& state) {
   FleetBatchedBench(state, PortoFleet(), /*shared=*/false);
 }
-BENCHMARK(BM_FleetRolloutBatchedPorto)->Arg(60)->Arg(240)->Arg(960);
+BENCHMARK(BM_FleetRolloutBatchedPorto)->Arg(10)->Arg(60)->Arg(240)->Arg(960);
 
 void BM_FleetRolloutBatchedSharedPorto(benchmark::State& state) {
   FleetBatchedBench(state, PortoFleet(), /*shared=*/true);

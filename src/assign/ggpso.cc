@@ -24,6 +24,7 @@ struct Individual {
 struct FeasibleEdge {
   int worker = -1;
   double min_dis = 0.0;
+  double closeness = 0.0;  // 1 / (1 + min_dis), the fitness cost term.
 };
 
 /// Feasible workers per task plus the distance used by the fitness term.
@@ -46,17 +47,24 @@ FeasibilityTable BuildTable(const std::vector<SpatialTask>& tasks,
   FeasibilityTable table(tasks.size());
   for (size_t t = 0; t < candidates.size(); ++t) {
     for (const TaskCandidate& tc : candidates[t]) {
-      if (tc.stage3_feasible) table[t].push_back({tc.worker, tc.min_dis});
+      if (tc.stage3_feasible) {
+        table[t].push_back({tc.worker, tc.min_dis, 1.0 / (1.0 + tc.min_dis)});
+      }
     }
   }
   return table;
 }
 
-double MinDisOf(const FeasibilityTable& table, size_t task, int worker) {
+/// Task `task`'s edge to `worker`, or an infinitely distant one with no
+/// cost term when the pair is not feasible.
+const FeasibleEdge& EdgeOf(const FeasibilityTable& table, size_t task,
+                           int worker) {
+  static const FeasibleEdge kNoEdge{
+      -1, std::numeric_limits<double>::infinity(), 0.0};
   for (const FeasibleEdge& e : table[task]) {
-    if (e.worker == worker) return e.min_dis;
+    if (e.worker == worker) return e;
   }
-  return std::numeric_limits<double>::infinity();
+  return kNoEdge;
 }
 
 double Fitness(const Individual& ind, const FeasibilityTable& table,
@@ -66,16 +74,16 @@ double Fitness(const Individual& ind, const FeasibilityTable& table,
     int w = ind.worker_of_task[t];
     if (w < 0) continue;
     completed += 1.0;
-    cost_term += 1.0 / (1.0 + MinDisOf(table, t, w));
+    cost_term += EdgeOf(table, t, w).closeness;
   }
   return completed + cost_weight * cost_term;
 }
 
-Individual RandomIndividual(const FeasibilityTable& table, int num_workers,
-                            Rng& rng) {
-  Individual ind;
+/// Fills `ind` with a random feasible plan; `used` is one flag per worker.
+void RandomIndividual(const FeasibilityTable& table, Rng& rng,
+                      std::vector<char>& used, Individual& ind) {
   ind.worker_of_task.assign(table.size(), -1);
-  std::vector<char> used(static_cast<size_t>(num_workers), 0);
+  std::fill(used.begin(), used.end(), 0);
   std::vector<size_t> order(table.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   rng.Shuffle(order);
@@ -93,17 +101,15 @@ Individual RandomIndividual(const FeasibilityTable& table, int num_workers,
       }
     }
   }
-  return ind;
 }
 
-/// PSO-style guided crossover: the child keeps each gene from the global
-/// best with probability `pull`, otherwise from the parent, repairing
-/// duplicate workers by dropping later conflicts.
-Individual Crossover(const Individual& parent, const Individual& best,
-                     int num_workers, double pull, Rng& rng) {
-  Individual child;
+/// PSO-style guided crossover into `child`: it keeps each gene from the
+/// global best with probability `pull`, otherwise from the parent,
+/// repairing duplicate workers by dropping later conflicts.
+void Crossover(const Individual& parent, const Individual& best, double pull,
+               Rng& rng, std::vector<char>& used, Individual& child) {
   child.worker_of_task.assign(parent.worker_of_task.size(), -1);
-  std::vector<char> used(static_cast<size_t>(num_workers), 0);
+  std::fill(used.begin(), used.end(), 0);
   for (size_t t = 0; t < parent.worker_of_task.size(); ++t) {
     int gene = rng.Bernoulli(pull) ? best.worker_of_task[t]
                                    : parent.worker_of_task[t];
@@ -112,12 +118,11 @@ Individual Crossover(const Individual& parent, const Individual& best,
       used[static_cast<size_t>(gene)] = 1;
     }
   }
-  return child;
 }
 
-void Mutate(Individual& ind, const FeasibilityTable& table, int num_workers,
-            double rate, Rng& rng) {
-  std::vector<char> used(static_cast<size_t>(num_workers), 0);
+void Mutate(Individual& ind, const FeasibilityTable& table, double rate,
+            Rng& rng, std::vector<char>& used) {
+  std::fill(used.begin(), used.end(), 0);
   for (int w : ind.worker_of_task) {
     if (w >= 0) used[static_cast<size_t>(w)] = 1;
   }
@@ -159,14 +164,16 @@ AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
   FeasibilityTable table =
       BuildTable(tasks, workers, config.match_radius_km, now_min);
   Rng rng(config.seed);
-  const int num_workers = static_cast<int>(workers.size());
+  const size_t pop_size = static_cast<size_t>(config.population);
 
-  std::vector<Individual> population;
-  population.reserve(static_cast<size_t>(config.population));
-  for (int i = 0; i < config.population; ++i) {
-    population.push_back(RandomIndividual(table, num_workers, rng));
-    population.back().fitness =
-        Fitness(population.back(), table, config.cost_weight);
+  // Double-buffered population: every generation writes its children into
+  // `next`'s existing chromosomes and swaps, and one `used` mask serves
+  // every operator, so the generation loop allocates nothing.
+  std::vector<char> used(workers.size(), 0);
+  std::vector<Individual> population(pop_size);
+  for (Individual& ind : population) {
+    RandomIndividual(table, rng, used, ind);
+    ind.fitness = Fitness(ind, table, config.cost_weight);
   }
   Individual best = *std::max_element(
       population.begin(), population.end(),
@@ -174,11 +181,10 @@ AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
         return a.fitness < b.fitness;
       });
 
+  std::vector<Individual> next(pop_size);
   for (int gen = 0; gen < config.generations; ++gen) {
-    std::vector<Individual> next;
-    next.reserve(static_cast<size_t>(config.population));
-    next.push_back(best);  // Elitism.
-    while (static_cast<int>(next.size()) < config.population) {
+    next[0] = best;  // Elitism.
+    for (size_t i = 1; i < pop_size; ++i) {
       // Tournament selection of the parent.
       size_t a = static_cast<size_t>(
           rng.UniformInt(0, config.population - 1));
@@ -187,21 +193,24 @@ AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
       const Individual& parent = population[a].fitness >= population[b].fitness
                                      ? population[a]
                                      : population[b];
-      Individual child = rng.Bernoulli(config.crossover_rate)
-                             ? Crossover(parent, best, num_workers, 0.5, rng)
-                             : parent;
-      Mutate(child, table, num_workers, config.mutation_rate, rng);
+      Individual& child = next[i];
+      if (rng.Bernoulli(config.crossover_rate)) {
+        Crossover(parent, best, 0.5, rng, used, child);
+      } else {
+        child.worker_of_task = parent.worker_of_task;
+      }
+      Mutate(child, table, config.mutation_rate, rng, used);
       child.fitness = Fitness(child, table, config.cost_weight);
       if (child.fitness > best.fitness) best = child;
-      next.push_back(std::move(child));
     }
-    population = std::move(next);
+    population.swap(next);
   }
 
   for (size_t t = 0; t < best.worker_of_task.size(); ++t) {
     int w = best.worker_of_task[t];
     if (w < 0) continue;
-    plan.pairs.push_back({static_cast<int>(t), w, MinDisOf(table, t, w)});
+    plan.pairs.push_back(
+        {static_cast<int>(t), w, EdgeOf(table, t, w).min_dis});
   }
   solve_hist.Record(solve_watch.ElapsedSeconds());
   return plan;

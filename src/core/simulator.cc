@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <deque>
 #include <optional>
 #include <string>
@@ -96,6 +97,8 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
       registry.GetHistogram("sim.forecast_s", obs::DurationEdgesSeconds());
   static obs::Histogram& assign_hist =
       registry.GetHistogram("sim.assign_s", obs::DurationEdgesSeconds());
+  static obs::Counter& nonfinite_counter =
+      registry.GetCounter("sim.nonfinite_forecasts");
 
   TAMP_DCHECK(!pool.empty());
   TAMP_DCHECK(!available.empty());
@@ -159,7 +162,19 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
                         config_.sample_period_min, forecast_scratch_,
                         &forecast_out_);
     for (size_t a = 0; a < available.size(); ++a) {
-      batch_workers[a].predicted = std::move(forecast_out_[a]);
+      // A diverged predictor forecasts non-finite points. Its worker falls
+      // back to the LB view: no predicted routine, so only its current
+      // location feeds the stage-3 distance test.
+      std::vector<geo::TimedPoint>& predicted = forecast_out_[a];
+      if (!std::all_of(predicted.begin(), predicted.end(),
+                       [](const geo::TimedPoint& p) {
+                         return std::isfinite(p.loc.x) &&
+                                std::isfinite(p.loc.y);
+                       })) {
+        predicted.clear();
+        nonfinite_counter.Increment();
+      }
+      batch_workers[a].predicted = std::move(predicted);
     }
     forecast_hist.Record(forecast_watch.ElapsedSeconds());
   }

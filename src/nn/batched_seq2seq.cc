@@ -130,20 +130,20 @@ void BatchedSeq2Seq::CellStep(const LstmCell& cell,
       }
     }
   } else {
-    // Distinct parameters per column: batched GEMV, one column at a time
-    // against the SoA state (col-r-k loop order).
+    // Distinct parameters per column: one GatePreactivations per column
+    // on its x/h gathered into a contiguous per-thread buffer [x | h | z].
+    thread_local std::vector<double> col_buf;
+    col_buf.resize(id + hd + h4);
+    double* cx = col_buf.data();
+    double* ch = cx + id;
+    double* cz = ch + hd;
     for (size_t col = begin; col < end; ++col) {
+      for (size_t k = 0; k < id; ++k) cx[k] = x[k * width + col];
+      for (size_t k = 0; k < hd; ++k) ch[k] = h[k * width + col];
       const double* wx = scratch.col_params[col]->data() + cell.offset();
       const double* wh = wx + h4 * id;
-      const double* b = wh + h4 * hd;
-      for (size_t r = 0; r < h4; ++r) {
-        double acc = b[r];
-        const double* wxr = wx + r * id;
-        for (size_t k = 0; k < id; ++k) acc += wxr[k] * x[k * width + col];
-        const double* whr = wh + r * hd;
-        for (size_t k = 0; k < hd; ++k) acc += whr[k] * h[k * width + col];
-        z[r * width + col] = acc;
-      }
+      GatePreactivations(wx, wh, wh + h4 * hd, cx, ch, id, hd, cz);
+      for (size_t r = 0; r < h4; ++r) z[r * width + col] = cz[r];
     }
   }
 

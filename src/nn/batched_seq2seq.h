@@ -55,9 +55,10 @@ struct BatchedSeq2SeqScratch {
 /// deterministic). Groups of >= 2 rows — e.g. cluster predictors before
 /// fine-tune, or one worker's eval samples — share their weights across
 /// the tile, making each gate kernel a true GEMM; runs of
-/// distinct-parameter rows are packed into fixed-width mixed tiles and
-/// run as blocked batched GEMVs. Tiles are kTileCols wide regardless of
-/// thread count, so the nn.* work counters are thread-invariant.
+/// distinct-parameter rows are packed into fixed-width mixed tiles that
+/// run the GatePreactivations kernel column by column. Tiles are
+/// kTileCols wide regardless of thread count, so the nn.* work counters
+/// are thread-invariant.
 ///
 /// Bit-identity contract: for every output element the floating-point
 /// operation chain is exactly the scalar path's — acc starts at b[r],
@@ -108,8 +109,9 @@ class BatchedSeq2Seq {
                int seq_in, const double* inputs,
                BatchedSeq2SeqScratch& scratch) const;
 
-  /// z = W_x x + W_h h + b for one tile (GEMM when shared, batched GEMV
-  /// otherwise), then the element-wise gate update of h/c.
+  /// z = W_x x + W_h h + b for one tile (GEMM when shared,
+  /// GatePreactivations per column otherwise), then the element-wise gate
+  /// update of h/c.
   void CellStep(const LstmCell& cell,
                 const BatchedSeq2SeqScratch::Tile& tile, size_t width,
                 BatchedSeq2SeqScratch& scratch) const;

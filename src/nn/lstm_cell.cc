@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "common/check.h"
 #include "nn/init.h"
 
@@ -12,6 +16,42 @@ namespace {
 double Sigmoid(double v) { return 1.0 / (1.0 + std::exp(-v)); }
 
 }  // namespace
+
+void GatePreactivations(const double* wx, const double* wh, const double* b,
+                        const double* x, const double* h, size_t id,
+                        size_t hd, double* z) {
+  const size_t h4 = 4 * hd;
+  size_t r = 0;
+#if defined(__SSE2__)
+  // Lane j of accumulator q owns row r + 2q + j. The serial chain of one
+  // row is a latency-bound dependency; eight independent rows in flight
+  // hide it without reordering any row's own additions.
+  for (; r + 8 <= h4; r += 8) {
+    __m128d acc[4];
+    for (size_t q = 0; q < 4; ++q) acc[q] = _mm_loadu_pd(b + r + 2 * q);
+    auto accumulate = [&acc](const double* w, size_t stride, double v) {
+      const __m128d vk = _mm_set1_pd(v);
+      for (size_t q = 0; q < 4; ++q) {
+        const __m128d wq =
+            _mm_set_pd(w[(2 * q + 1) * stride], w[2 * q * stride]);
+        acc[q] = _mm_add_pd(acc[q], _mm_mul_pd(wq, vk));
+      }
+    };
+    for (size_t k = 0; k < id; ++k) accumulate(wx + r * id + k, id, x[k]);
+    for (size_t k = 0; k < hd; ++k) accumulate(wh + r * hd + k, hd, h[k]);
+    for (size_t q = 0; q < 4; ++q) _mm_storeu_pd(z + r + 2 * q, acc[q]);
+  }
+#endif
+  // The 4H mod 8 tail rows (and every row without SSE2): the scalar chain.
+  for (; r < h4; ++r) {
+    double acc = b[r];
+    const double* wxr = wx + r * id;
+    for (size_t k = 0; k < id; ++k) acc += wxr[k] * x[k];
+    const double* whr = wh + r * hd;
+    for (size_t k = 0; k < hd; ++k) acc += whr[k] * h[k];
+    z[r] = acc;
+  }
+}
 
 LstmCell::LstmCell(int input_dim, int hidden_dim, size_t offset)
     : input_dim_(input_dim), hidden_dim_(hidden_dim), offset_(offset) {
@@ -63,14 +103,7 @@ void LstmCell::Forward(const std::vector<double>& params, const double* x,
 
   // z = W_x x + W_h h_prev + b, gate blocks [i f g o], computed into the
   // gate row and activated in place below.
-  for (size_t r = 0; r < h4; ++r) {
-    double acc = b[r];
-    const double* wxr = wx + r * id;
-    for (size_t k = 0; k < id; ++k) acc += wxr[k] * tx[k];
-    const double* whr = wh + r * hd;
-    for (size_t k = 0; k < hd; ++k) acc += whr[k] * h_prev[k];
-    gates[r] = acc;
-  }
+  GatePreactivations(wx, wh, b, tx, h_prev, id, hd, gates);
 
   double* i = gates;
   double* f = gates + hd;

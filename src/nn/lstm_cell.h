@@ -20,6 +20,17 @@ struct LstmTrace {
   std::vector<double> tanh_c;  // [step][H] tanh(c), reused in backward.
 };
 
+/// The LSTM gate kernel of LstmCell::Forward and of BatchedSeq2Seq's
+/// mixed tiles: for r in [0, 4 * hd),
+///   z[r] = b[r] + sum_k wx[r * id + k] * x[k] + sum_k wh[r * hd + k] * h[k]
+/// with wx/wh row-major as in the LstmCell layout. Rows go 8 at a time in
+/// SSE2 lanes, one row per lane; each lane adds its products in ascending
+/// k with a separate multiply and add, so every z[r] is bitwise the serial
+/// scalar chain (tests/nn_gate_oracle.h).
+void GatePreactivations(const double* wx, const double* wh, const double* b,
+                        const double* x, const double* h, size_t id,
+                        size_t hd, double* z);
+
 /// A single LSTM cell with parameters stored in a caller-provided flat
 /// vector (see Linear for the rationale). Gate order in the packed weight
 /// blocks is [input, forget, candidate, output].
