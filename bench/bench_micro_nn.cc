@@ -1,16 +1,17 @@
-// Micro-benchmarks of the LSTM encoder-decoder: forward inference (what
-// every online batch pays per worker), the training step (what meta-
-// training pays per sample), the offline training layers on the
-// calibrated Porto fleet (one worker's batch gradient; one TAML pass over
-// the GTTAML tree), and the fleet-wide forecast rollout — the
-// per-worker scalar chain against the batched SoA engine
-// (nn::BatchedSeq2Seq), with distinct per-worker parameters (batched
-// GEMV tiles) and a shared parameter vector (true GEMM tiles).
-// RegisterMicroMetrics records the deterministic nn.* work counts that
-// tools/bench_compare gates on.
+// Micro-benchmarks of the LSTM encoder-decoder: the gate nonlinearities
+// (the repo's activation kernel against libm at the forecast shape),
+// forward inference (what every online batch pays per worker), the
+// training step (what meta-training pays per sample), the offline training
+// layers on the calibrated Porto fleet (one worker's batch gradient; one
+// TAML pass over the GTTAML tree), and the fleet-wide forecast rollout
+// through the batched SoA engine (nn::BatchedSeq2Seq), with distinct
+// per-worker parameters (batched GEMV tiles) and a shared parameter vector
+// (true GEMM tiles). RegisterMicroMetrics records the deterministic nn.*
+// work counts that tools/bench_compare gates on.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "meta/meta_training.h"
 #include "meta/taml.h"
 #include "meta/trainer.h"
+#include "nn/activation.h"
 #include "nn/batched_seq2seq.h"
 #include "nn/encoder_decoder.h"
 
@@ -99,22 +101,6 @@ const Fleet& GowallaFleet() {
   return *fleet;
 }
 
-/// The scalar reference: one RolloutPredict chain per worker (the
-/// simulator's per-worker fan-out body), with the reusable PredictScratch.
-size_t FleetRolloutScalar(const Fleet& fleet, size_t fleet_size) {
-  tamp::nn::EncoderDecoder model(fleet.config);
-  tamp::nn::PredictScratch scratch;
-  size_t points = 0;
-  for (size_t w = 0; w < fleet_size; ++w) {
-    points += tamp::core::RolloutPredict(model, fleet.worker_params[w],
-                                         fleet.recents[w], fleet.grid,
-                                         kHorizonSteps, kNowMin, kPeriodMin,
-                                         &scratch)
-                  .size();
-  }
-  return points;
-}
-
 /// The batched path: one fleet-wide SoA rollout. `shared` selects the
 /// cluster-predictor regime where every row aliases one parameter vector.
 size_t FleetRolloutBatched(const Fleet& fleet, size_t fleet_size, bool shared,
@@ -136,6 +122,49 @@ size_t FleetRolloutBatched(const Fleet& fleet, size_t fleet_size, bool shared,
   for (const auto& row : out) points += row.size();
   return points;
 }
+
+/// One cell step's gate block at the forecast shape: 4H = 64 gate rows
+/// (H = 16, the Table-III model) by 10 worker columns, the free-worker
+/// count of a `surge` trigger. Each iteration restores the
+/// pre-activations, then `activate`s all 640 in place, as a full-width
+/// tile does. The `kernel` rows run nn::SigmoidInPlace / nn::TanhInPlace,
+/// the `libm` rows the element-wise formula the kernel replaced.
+void ActivateGateBlock(benchmark::State& state,
+                       void (*activate)(double*, size_t)) {
+  constexpr size_t kGateElements = 64 * 10;
+  tamp::Rng rng(19);
+  std::vector<double> sample(kGateElements);
+  for (double& v : sample) v = rng.Uniform(-6.0, 6.0);
+  std::vector<double> z(kGateElements);
+  for (auto _ : state) {
+    std::copy(sample.begin(), sample.end(), z.begin());
+    activate(z.data(), z.size());
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kGateElements));
+}
+
+void LibmSigmoid(double* v, size_t n) {
+  for (size_t j = 0; j < n; ++j) v[j] = 1.0 / (1.0 + std::exp(-v[j]));
+}
+
+void LibmTanh(double* v, size_t n) {
+  for (size_t j = 0; j < n; ++j) v[j] = std::tanh(v[j]);
+}
+
+void BM_Sigmoid(benchmark::State& state, void (*activate)(double*, size_t)) {
+  ActivateGateBlock(state, activate);
+}
+BENCHMARK_CAPTURE(BM_Sigmoid, kernel, tamp::nn::SigmoidInPlace);
+BENCHMARK_CAPTURE(BM_Sigmoid, libm, LibmSigmoid);
+
+void BM_Tanh(benchmark::State& state, void (*activate)(double*, size_t)) {
+  ActivateGateBlock(state, activate);
+}
+BENCHMARK_CAPTURE(BM_Tanh, kernel, tamp::nn::TanhInPlace);
+BENCHMARK_CAPTURE(BM_Tanh, libm, LibmTanh);
 
 void BM_EncoderDecoderPredict(benchmark::State& state) {
   tamp::nn::Seq2SeqConfig config;
@@ -256,13 +285,6 @@ void BM_TamlPorto(benchmark::State& state) {
 }
 BENCHMARK(BM_TamlPorto)->Unit(benchmark::kMillisecond);
 
-void FleetScalarBench(benchmark::State& state, const Fleet& fleet) {
-  const size_t fleet_size = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(FleetRolloutScalar(fleet, fleet_size));
-  }
-}
-
 void FleetBatchedBench(benchmark::State& state, const Fleet& fleet,
                        bool shared) {
   const size_t fleet_size = static_cast<size_t>(state.range(0));
@@ -274,11 +296,6 @@ void FleetBatchedBench(benchmark::State& state, const Fleet& fleet,
   }
 }
 
-void BM_FleetRolloutScalarPorto(benchmark::State& state) {
-  FleetScalarBench(state, PortoFleet());
-}
-BENCHMARK(BM_FleetRolloutScalarPorto)->Arg(10)->Arg(60)->Arg(240)->Arg(960);
-
 void BM_FleetRolloutBatchedPorto(benchmark::State& state) {
   FleetBatchedBench(state, PortoFleet(), /*shared=*/false);
 }
@@ -288,11 +305,6 @@ void BM_FleetRolloutBatchedSharedPorto(benchmark::State& state) {
   FleetBatchedBench(state, PortoFleet(), /*shared=*/true);
 }
 BENCHMARK(BM_FleetRolloutBatchedSharedPorto)->Arg(60)->Arg(240)->Arg(960);
-
-void BM_FleetRolloutScalarGowalla(benchmark::State& state) {
-  FleetScalarBench(state, GowallaFleet());
-}
-BENCHMARK(BM_FleetRolloutScalarGowalla)->Arg(60)->Arg(240)->Arg(960);
 
 void BM_FleetRolloutBatchedGowalla(benchmark::State& state) {
   FleetBatchedBench(state, GowallaFleet(), /*shared=*/false);

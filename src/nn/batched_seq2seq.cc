@@ -1,16 +1,26 @@
 #include "nn/batched_seq2seq.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "common/obs/metrics.h"
 #include "common/parallel.h"
+#include "nn/activation.h"
 
 namespace tamp::nn {
 namespace {
 
-double Sigmoid(double v) { return 1.0 / (1.0 + std::exp(-v)); }
+/// Runs `activate` over `rows` rows of `cols` values spaced `stride` apart,
+/// in one call when the rows are back to back (a tile spanning the batch).
+template <class F>
+void ActivateRows(F activate, double* first, size_t rows, size_t stride,
+                  size_t cols) {
+  if (cols == stride) {
+    activate(first, rows * cols);
+    return;
+  }
+  for (size_t r = 0; r < rows; ++r) activate(first + r * stride, cols);
+}
 
 }  // namespace
 
@@ -147,18 +157,29 @@ void BatchedSeq2Seq::CellStep(const LstmCell& cell,
     }
   }
 
-  // Element-wise gate update (independent per (k, col) element, so any
-  // loop order preserves bit-identity with the scalar path).
+  // Element-wise gate update over the tile's columns. Every element is a
+  // function of its own inputs only, so any loop order and any split into
+  // activation calls keeps bit-identity with LstmCell::Forward.
+  const size_t cols = end - begin;
+  ActivateRows(SigmoidInPlace, z + begin, 2 * hd, width, cols);  // i, f
+  ActivateRows(TanhInPlace, z + 2 * hd * width + begin, hd, width, cols);
+  ActivateRows(SigmoidInPlace, z + 3 * hd * width + begin, hd, width, cols);
   for (size_t k = 0; k < hd; ++k) {
+    const double* iv = z + k * width;
+    const double* fv = z + (hd + k) * width;
+    const double* gv = z + (2 * hd + k) * width;
+    double* ck = c + k * width;
+    double* hk = h + k * width;
     for (size_t col = begin; col < end; ++col) {
-      const double iv = Sigmoid(z[k * width + col]);
-      const double fv = Sigmoid(z[(hd + k) * width + col]);
-      const double gv = std::tanh(z[(2 * hd + k) * width + col]);
-      const double ov = Sigmoid(z[(3 * hd + k) * width + col]);
-      const double cv = fv * c[k * width + col] + iv * gv;
-      c[k * width + col] = cv;
-      h[k * width + col] = ov * std::tanh(cv);
+      ck[col] = fv[col] * ck[col] + iv[col] * gv[col];
+      hk[col] = ck[col];
     }
+  }
+  ActivateRows(TanhInPlace, h + begin, hd, width, cols);
+  for (size_t k = 0; k < hd; ++k) {
+    const double* ov = z + (3 * hd + k) * width;
+    double* hk = h + k * width;
+    for (size_t col = begin; col < end; ++col) hk[col] = ov[col] * hk[col];
   }
 }
 

@@ -63,11 +63,11 @@ struct BatchedSeq2SeqScratch {
 /// Bit-identity contract: for every output element the floating-point
 /// operation chain is exactly the scalar path's — acc starts at b[r],
 /// accumulates W_x row r against the input in ascending k, then W_h row r
-/// against h_prev in ascending k; gates apply the same Sigmoid/tanh
-/// element-wise. Batching only interchanges loops *across* independent
-/// elements, so predictions are bitwise identical to
-/// EncoderDecoder::Predict (asserted by tests/nn_batched_forecast_test.cc
-/// on both datasets at 1 and 4 threads).
+/// against h_prev in ascending k; gates apply the same element-wise
+/// SigmoidInPlace/TanhInPlace kernel (nn/activation.h). Batching only
+/// interchanges loops *across* independent elements, so predictions are
+/// bitwise identical to EncoderDecoder::Predict (asserted by
+/// tests/nn_batched_forecast_test.cc on both datasets at 1 and 4 threads).
 class BatchedSeq2Seq {
  public:
   explicit BatchedSeq2Seq(const Seq2SeqConfig& config);

@@ -1,21 +1,16 @@
 #include "nn/lstm_cell.h"
 
 #include <algorithm>
-#include <cmath>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
 
 #include "common/check.h"
+#include "nn/activation.h"
 #include "nn/init.h"
 
 namespace tamp::nn {
-namespace {
-
-double Sigmoid(double v) { return 1.0 / (1.0 + std::exp(-v)); }
-
-}  // namespace
 
 void GatePreactivations(const double* wx, const double* wh, const double* b,
                         const double* x, const double* h, size_t id,
@@ -105,19 +100,19 @@ void LstmCell::Forward(const std::vector<double>& params, const double* x,
   // gate row and activated in place below.
   GatePreactivations(wx, wh, b, tx, h_prev, id, hd, gates);
 
-  double* i = gates;
-  double* f = gates + hd;
-  double* g = gates + 2 * hd;
-  double* o = gates + 3 * hd;
+  const double* i = gates;
+  const double* f = gates + hd;
+  const double* g = gates + 2 * hd;
+  const double* o = gates + 3 * hd;
+  SigmoidInPlace(gates, 2 * hd);  // i and f are adjacent.
+  TanhInPlace(gates + 2 * hd, hd);
+  SigmoidInPlace(gates + 3 * hd, hd);
   for (size_t k = 0; k < hd; ++k) {
-    i[k] = Sigmoid(i[k]);
-    f[k] = Sigmoid(f[k]);
-    g[k] = std::tanh(g[k]);
-    o[k] = Sigmoid(o[k]);
     c[k] = f[k] * c_prev[k] + i[k] * g[k];
-    tanh_c[k] = std::tanh(c[k]);
-    h[k] = o[k] * tanh_c[k];
+    tanh_c[k] = c[k];
   }
+  TanhInPlace(tanh_c, hd);
+  for (size_t k = 0; k < hd; ++k) h[k] = o[k] * tanh_c[k];
 }
 
 void LstmCell::Backward(const std::vector<double>& params,

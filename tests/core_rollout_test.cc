@@ -1,4 +1,4 @@
-#include "core/rollout.h"
+#include "core_rollout_oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -6,6 +6,8 @@
 
 namespace tamp::core {
 namespace {
+
+using testing::RolloutPredict;
 
 TEST(RolloutPredictTest, ProducesRequestedHorizon) {
   tamp::Rng rng(3);

@@ -15,6 +15,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/rollout.h"
+#include "core_rollout_oracle.h"
 #include "geo/point.h"
 #include "meta/trainer.h"
 #include "nn/encoder_decoder.h"
@@ -132,8 +133,8 @@ TEST(BatchedSeq2SeqTest, FleetRolloutMatchesScalarOnBothGrids) {
 
       ASSERT_EQ(batched.size(), recents.size());
       for (size_t w = 0; w < recents.size(); ++w) {
-        auto scalar = core::RolloutPredict(model, *row_params[w], recents[w],
-                                           grid, 7, 600.0, 10.0);
+        auto scalar = core::testing::RolloutPredict(
+            model, *row_params[w], recents[w], grid, 7, 600.0, 10.0);
         ASSERT_EQ(batched[w].size(), scalar.size());
         for (size_t i = 0; i < scalar.size(); ++i) {
           EXPECT_EQ(batched[w][i].loc.x, scalar[i].loc.x);

@@ -12,12 +12,14 @@
 #include "common/rng.h"
 #include "meta/meta_training.h"
 #include "nn/encoder_decoder.h"
+#include "nn_activation_oracle.h"
 
 namespace tamp::nn {
 namespace {
 
 /// Reference BPTT with one heap-allocated cache per step, the operation
-/// order of the per-step-vector kernel.
+/// order of the per-step-vector kernel. Its gates use the scalar copy of
+/// the activation kernel (nn_activation_oracle.h).
 class ReferenceSeq2Seq {
  public:
   explicit ReferenceSeq2Seq(const Seq2SeqConfig& config) : cfg_(config) {
@@ -93,8 +95,6 @@ class ReferenceSeq2Seq {
 
   size_t CellParams(size_t in) const { return 4 * hd_ * (in + hd_ + 1); }
 
-  static double Sigmoid(double v) { return 1.0 / (1.0 + std::exp(-v)); }
-
   Step Forward(const std::vector<double>& p, size_t offset, size_t in,
                const std::vector<double>& x, std::vector<double>& h,
                std::vector<double>& c) const {
@@ -111,12 +111,12 @@ class ReferenceSeq2Seq {
       z[r] = acc;
     }
     for (size_t k = 0; k < hd_; ++k) {
-      s.i.push_back(Sigmoid(z[k]));
-      s.f.push_back(Sigmoid(z[hd_ + k]));
-      s.g.push_back(std::tanh(z[2 * hd_ + k]));
-      s.o.push_back(Sigmoid(z[3 * hd_ + k]));
+      s.i.push_back(testing::OracleSigmoid(z[k]));
+      s.f.push_back(testing::OracleSigmoid(z[hd_ + k]));
+      s.g.push_back(testing::OracleTanh(z[2 * hd_ + k]));
+      s.o.push_back(testing::OracleSigmoid(z[3 * hd_ + k]));
       c[k] = s.f[k] * s.c_prev[k] + s.i[k] * s.g[k];
-      s.tanh_c.push_back(std::tanh(c[k]));
+      s.tanh_c.push_back(testing::OracleTanh(c[k]));
       h[k] = s.o[k] * s.tanh_c[k];
     }
     return s;
@@ -195,7 +195,7 @@ TEST(BpttParityTest, ReusedScratchMatchesFreshAndReference) {
     std::vector<double> ramp;
     for (int t = 0; t < shape.seq_out; ++t) ramp.push_back(0.5 + t);
     for (const std::vector<double>& weights : {std::vector<double>{}, ramp}) {
-      SCOPED_TRACE(testing::Message()
+      SCOPED_TRACE(::testing::Message()
                    << "input_dim " << shape.input_dim << " hidden "
                    << shape.hidden_dim << " seq_out " << shape.seq_out
                    << " seq_in " << shape.seq_in << " weighted "
