@@ -50,16 +50,6 @@ BENCHMARK(BM_MaxWeightMatchingRect)
     ->Args({10, 500})
     ->Args({200, 40});
 
-void BM_GreedyMatching(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  auto edges = RandomEdges(n, n, 0.2, 42);
-  for (auto _ : state) {
-    auto result = tamp::matching::GreedyMatching(n, n, edges);
-    benchmark::DoNotOptimize(result.total_weight);
-  }
-}
-BENCHMARK(BM_GreedyMatching)->RangeMultiplier(2)->Range(16, 256);
-
 void BM_MinCostAssignmentDense(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   tamp::Rng rng(7);

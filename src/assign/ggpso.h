@@ -25,7 +25,7 @@ struct GgpsoConfig {
 /// Feasibility uses the same predicted-trajectory test as PPI's stage 3,
 /// on candidates from the per-batch spatial index (CandidateIndex). The
 /// population evolves through ONE sequential RNG stream spanning all
-/// tasks, so the GA runs globally rather than per candidate-graph shard.
+/// tasks, so the GA runs over the whole batch at once.
 AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
                            const std::vector<CandidateWorker>& workers,
                            double now_min, const GgpsoConfig& config);

@@ -4,7 +4,6 @@
 
 #include "assign/candidate_index.h"
 #include "assign/candidates.h"
-#include "assign/sharding.h"
 #include "common/obs/metrics.h"
 #include "common/obs/trace.h"
 #include "common/stopwatch.h"
@@ -47,12 +46,8 @@ AssignmentPlan KmAssign(const std::vector<SpatialTask>& tasks,
   edges_counter.Increment(static_cast<int64_t>(edges.size()));
   Stopwatch solve_watch;
   obs::TraceSpan solve_span("km.solve");
-  // Geo-sharded solve (DESIGN.md §4k): connected components of the
-  // candidate table share no feasible edge, so per-shard KM merged in task
-  // order is the global maximum-weight matching.
-  const matching::MatchResult result = ShardedMaxWeightMatching(
-      static_cast<int>(tasks.size()), static_cast<int>(workers.size()), edges,
-      BuildShardPlan(table, static_cast<int>(workers.size())));
+  const matching::MatchResult result = matching::MaxWeightMatching(
+      static_cast<int>(tasks.size()), static_cast<int>(workers.size()), edges);
   solve_hist.Record(solve_watch.ElapsedSeconds());
   for (auto [t, w] : result.pairs) {
     // Recover dis^min of the matched pair from its table row (rows hold

@@ -10,9 +10,8 @@ namespace tamp::assign {
 /// matching with 1/dis^min weights. Ignores matching rates entirely.
 ///
 /// Candidates come from the per-batch spatial index (CandidateIndex), and
-/// the matching is solved per connected component of the candidate graph
-/// (ShardedMaxWeightMatching, DESIGN.md §4k) — a one-component plan is the
-/// global solve.
+/// the matching is one MaxWeightMatching over the feasible edges; tasks and
+/// workers without one never enter its matrix (DESIGN.md §4l).
 AssignmentPlan KmAssign(const std::vector<SpatialTask>& tasks,
                         const std::vector<CandidateWorker>& workers,
                         double now_min, double match_radius_km,

@@ -8,7 +8,6 @@
 
 #include "assign/candidate_index.h"
 #include "assign/candidates.h"
-#include "assign/sharding.h"
 #include "common/check.h"
 #include "common/obs/metrics.h"
 #include "common/obs/trace.h"
@@ -39,16 +38,15 @@ int64_t PairKey(int task, int worker) {
 struct CommitScratch {
   std::vector<matching::Edge> km_edges;
   std::unordered_map<int64_t, double> min_b_of_pair;
+  matching::MatchingScratch matching;
 };
 
-/// Runs KM on the given candidate edges, per connected component of
-/// `shard_plan`, and appends the matched pairs to `plan`, marking
-/// tasks/workers as assigned. Weights are 1/(min_b+floor).
+/// Runs KM on the given candidate edges and appends the matched pairs to
+/// `plan`, marking tasks/workers as assigned. Weights are 1/(min_b+floor).
 void MatchAndCommit(const std::vector<PpiCandidate>& edges, int num_tasks,
                     int num_workers, double weight_floor,
                     CommitScratch& scratch, std::vector<char>& task_done,
-                    std::vector<char>& worker_done, AssignmentPlan& plan,
-                    const ShardPlan& shard_plan) {
+                    std::vector<char>& worker_done, AssignmentPlan& plan) {
   if (edges.empty()) return;
   obs::TraceSpan match_span("ppi.match");
   std::vector<matching::Edge>& km_edges = scratch.km_edges;
@@ -68,8 +66,8 @@ void MatchAndCommit(const std::vector<PpiCandidate>& edges, int num_tasks,
     TAMP_DCHECK(inserted);
     (void)inserted;
   }
-  const matching::MatchResult result = ShardedMaxWeightMatching(
-      num_tasks, num_workers, km_edges, shard_plan);
+  const matching::MatchResult result = matching::MaxWeightMatching(
+      num_tasks, num_workers, km_edges, &scratch.matching);
   for (auto [task, worker] : result.pairs) {
     const size_t ti = static_cast<size_t>(task);
     const size_t wi = static_cast<size_t>(worker);
@@ -119,10 +117,6 @@ AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
   std::vector<char> worker_done(static_cast<size_t>(num_workers), 0);
   CommitScratch scratch;
 
-  // One decomposition serves every stage (each stage's edges are table
-  // rows, so no edge crosses a component boundary).
-  const ShardPlan shards = BuildShardPlan(table, num_workers);
-
   // ---- Stage 1 (Alg. 4 lines 1-12): certain pairs (|B| * MR >= 1). ----
   std::optional<obs::TraceSpan> stage1_span(std::in_place, "ppi.stage1");
   std::vector<PpiCandidate> certain;
@@ -146,7 +140,7 @@ AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
   certain_counter.Increment(static_cast<int64_t>(certain.size()));
   pending_counter.Increment(static_cast<int64_t>(pending.size()));
   MatchAndCommit(certain, num_tasks, num_workers, config.weight_floor_km,
-                 scratch, task_done, worker_done, plan, shards);
+                 scratch, task_done, worker_done, plan);
   stage1_span.reset();
 
   // ---- Stage 2 (lines 13-27): drain pending pairs in descending |B|*MR,
@@ -169,7 +163,7 @@ AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
       }
     }
     MatchAndCommit(live, num_tasks, num_workers, config.weight_floor_km,
-                   scratch, task_done, worker_done, plan, shards);
+                   scratch, task_done, worker_done, plan);
     batch.clear();
   };
   for (const PpiCandidate& c : pending) {
@@ -196,7 +190,7 @@ AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
   }
   fallback_counter.Increment(static_cast<int64_t>(fallback.size()));
   MatchAndCommit(fallback, num_tasks, num_workers, config.weight_floor_km,
-                 scratch, task_done, worker_done, plan, shards);
+                 scratch, task_done, worker_done, plan);
   return plan;
 }
 

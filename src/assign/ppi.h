@@ -25,10 +25,9 @@ struct PpiConfig {
 /// per-stage KM calls use 1/minB (or 1/dis^min) as edge weights so shorter
 /// expected detours win.
 ///
-/// Candidates come from the per-batch spatial index (CandidateIndex), and
-/// every stage's KM runs per connected component of the batch candidate
-/// table (DESIGN.md §4k): stage edges are table rows, so they never cross
-/// components.
+/// Candidates come from the per-batch spatial index (CandidateIndex). Every
+/// stage's KM is one MaxWeightMatching over the batch; tasks and workers
+/// without a stage edge never enter its matrix (DESIGN.md §4l).
 AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
                          const std::vector<CandidateWorker>& workers,
                          double now_min, const PpiConfig& config);

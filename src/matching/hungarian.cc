@@ -17,7 +17,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
                                    MatchingScratch* scratch) {
   const size_t n = cost.size();
-  if (n == 0) return AssignmentResult{};  // Degenerate (empty-shard) solve.
+  if (n == 0) return AssignmentResult{};  // Degenerate 0-row solve.
   const size_t m = cost[0].size();
   TAMP_CHECK_MSG(n <= m, "MinCostAssignment requires rows() <= cols()");
   for (const auto& row : cost) {
@@ -119,12 +119,38 @@ MatchResult MaxWeightMatching(int num_left, int num_right,
   MatchingScratch local;
   MatchingScratch& s = scratch != nullptr ? *scratch : local;
 
-  // Rows are the smaller side and columns the larger, so the solve is
-  // O(r^2 c). Absent edges have weight 0: with r <= c every row is
+  // Compaction: only vertices with a positive edge enter the matrix. Ids
+  // are handed out in ascending original order, so the relabel is monotone
+  // and ascending-left emission survives the map back. A dropped vertex
+  // would get an all-zero row or column, which never yields a pair.
+  const auto compact = [](int n, std::vector<int>& id_of,
+                          std::vector<int>& vertex_of) {
+    vertex_of.clear();
+    for (int v = 0; v < n; ++v) {
+      int& id = id_of[static_cast<size_t>(v)];
+      if (id < 0) continue;
+      id = static_cast<int>(vertex_of.size());
+      vertex_of.push_back(v);
+    }
+  };
+  s.left_id.assign(static_cast<size_t>(num_left), -1);
+  s.right_id.assign(static_cast<size_t>(num_right), -1);
+  for (const Edge& e : edges) {
+    if (!(e.weight > 0.0)) continue;  // Non-positive or NaN: not an edge.
+    s.left_id[static_cast<size_t>(e.left)] = 0;
+    s.right_id[static_cast<size_t>(e.right)] = 0;
+  }
+  compact(num_left, s.left_id, s.left_of);
+  compact(num_right, s.right_id, s.right_of);
+
+  // Rows are the smaller compacted side and columns the larger, so the
+  // solve is O(r^2 c). Absent edges have weight 0: with r <= c every row is
   // assigned, and a row assigned to an absent edge stays unmatched.
-  const bool transposed = num_left > num_right;
-  const size_t rows = static_cast<size_t>(transposed ? num_right : num_left);
-  const size_t cols = static_cast<size_t>(transposed ? num_left : num_right);
+  const size_t kept_left = s.left_of.size();
+  const size_t kept_right = s.right_of.size();
+  const bool transposed = kept_left > kept_right;
+  const size_t rows = transposed ? kept_right : kept_left;
+  const size_t cols = transposed ? kept_left : kept_right;
   std::vector<std::vector<double>>& weight = s.weight;
   const auto cell = [&](int left, int right) -> double& {
     const size_t l = static_cast<size_t>(left);
@@ -134,8 +160,9 @@ MatchResult MaxWeightMatching(int num_left, int num_right,
   weight.resize(rows);
   for (auto& row : weight) row.assign(cols, 0.0);
   for (const Edge& e : edges) {
-    if (e.weight <= 0.0) continue;
-    double& w = cell(e.left, e.right);
+    if (!(e.weight > 0.0)) continue;
+    double& w = cell(s.left_id[static_cast<size_t>(e.left)],
+                     s.right_id[static_cast<size_t>(e.right)]);
     w = std::max(w, e.weight);
   }
 
@@ -163,35 +190,10 @@ MatchResult MaxWeightMatching(int num_left, int num_right,
   // Ascending-left emission and summation keep pairs and total bitwise
   // those of the square-padded test oracle when the optimum is unique.
   if (transposed) std::sort(result.pairs.begin(), result.pairs.end());
-  for (auto [l, r] : result.pairs) result.total_weight += cell(l, r);
-  return result;
-}
-
-MatchResult GreedyMatching(int num_left, int num_right,
-                           const std::vector<Edge>& edges) {
-  TAMP_CHECK(num_left >= 0 && num_right >= 0);
-  std::vector<Edge> sorted;
-  sorted.reserve(edges.size());
-  for (const Edge& e : edges) {
-    TAMP_CHECK(e.left >= 0 && e.left < num_left);
-    TAMP_CHECK(e.right >= 0 && e.right < num_right);
-    if (e.weight > 0.0) sorted.push_back(e);
-  }
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Edge& a, const Edge& b) {
-                     return a.weight > b.weight;
-                   });
-  std::vector<char> left_used(static_cast<size_t>(num_left), 0);
-  std::vector<char> right_used(static_cast<size_t>(num_right), 0);
-  MatchResult result;
-  for (const Edge& e : sorted) {
-    const size_t l = static_cast<size_t>(e.left);
-    const size_t r = static_cast<size_t>(e.right);
-    if (left_used[l] || right_used[r]) continue;
-    left_used[l] = 1;
-    right_used[r] = 1;
-    result.pairs.emplace_back(e.left, e.right);
-    result.total_weight += e.weight;
+  for (auto& [l, r] : result.pairs) {
+    result.total_weight += cell(l, r);
+    l = s.left_of[static_cast<size_t>(l)];
+    r = s.right_of[static_cast<size_t>(r)];
   }
   return result;
 }

@@ -31,17 +31,20 @@ struct AssignmentResult {
 };
 
 /// Reusable working set for the matchers below. Hot callers that solve
-/// many matchings per batch (the sharded solver's per-thread shard solves)
-/// keep one of these across calls so the O(n^2) potentials/matrix buffers
-/// are allocated once and recycled; results are identical with or without a
-/// scratch. Not thread-safe: one scratch per calling thread.
+/// many matchings per batch (PPI's stage-2 epsilon batches) keep one of
+/// these across calls so the O(n^2) potentials/matrix buffers are allocated
+/// once and recycled; results are identical with or without a scratch. Not
+/// thread-safe: one scratch per calling thread.
 struct MatchingScratch {
   // MinCostAssignment working vectors.
   std::vector<double> u, v, minv;
   std::vector<std::size_t> p, way;
   std::vector<char> used;
+  // MaxWeightMatching's compaction: original -> dense id (-1 when the
+  // vertex has no positive edge) and dense id -> original, per side.
+  std::vector<int> left_id, right_id, left_of, right_of;
   // MaxWeightMatching rows x cols weight/cost matrices (rows = the smaller
-  // side of the bipartite graph).
+  // compacted side of the bipartite graph).
   std::vector<std::vector<double>> weight;
   std::vector<std::vector<double>> cost;
 };
@@ -57,23 +60,20 @@ AssignmentResult MinCostAssignment(const std::vector<std::vector<double>>& cost,
                                    MatchingScratch* scratch = nullptr);
 
 /// Maximum-weight bipartite matching via the Kuhn-Munkres algorithm
-/// ([35], [36] in the paper) with potentials and shortest augmenting paths,
-/// solved on the r x c matrix with r = min(num_left, num_right) rows and
-/// c = max(num_left, num_right) columns, O(r^2 c). Vertices may stay
-/// unmatched: only pairs connected by a real (positive-weight) input edge
-/// are reported, in ascending-left order.
+/// ([35], [36] in the paper) with potentials and shortest augmenting paths.
+/// Vertices without a positive-weight edge are dropped first (a monotone
+/// relabel, so ascending order survives); the kept l' left and r' right
+/// vertices are solved on the min(l', r') x max(l', r') matrix, O(r^2 c).
+/// Vertices may stay unmatched: only pairs connected by a real
+/// (positive-weight) input edge are reported, in ascending-left order, with
+/// total_weight summed in that order.
 ///
 /// `num_left`/`num_right` bound the vertex ids appearing in `edges`.
 /// Duplicate edges keep the maximum weight; NaN-weight edges are ignored.
-/// Counts matching.solves and matching.cells (r x c) per matrix built.
-/// `scratch` may be null.
+/// Counts matching.solves and matching.cells (rows x cols of the compacted
+/// matrix) per matrix built. `scratch` may be null.
 MatchResult MaxWeightMatching(int num_left, int num_right,
                               const std::vector<Edge>& edges,
                               MatchingScratch* scratch = nullptr);
-
-/// Greedy descending-weight matching; used as a test oracle bound (the
-/// greedy total is always <= the KM total) and a cheap fallback.
-MatchResult GreedyMatching(int num_left, int num_right,
-                           const std::vector<Edge>& edges);
 
 }  // namespace tamp::matching

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "matching_greedy_oracle.h"
 
 namespace tamp::matching {
 namespace {
+
+using testing::GreedyMatching;
 
 /// Exhaustive maximum-weight matching by trying every left->right injective
 /// assignment (exponential; only for tiny instances).
@@ -78,8 +81,8 @@ TEST(MinCostAssignmentTest, ClassicExample) {
 }
 
 TEST(MinCostAssignmentTest, ZeroRowMatrixIsADegenerateNoOp) {
-  // A 0-row matrix returns empty without touching scratch (the sharded
-  // path can hand a solver an edgeless shard after weight filtering).
+  // A 0-row matrix returns empty without touching scratch, and a scratch
+  // reused across it still gives the cold result.
   auto result = MinCostAssignment({});
   EXPECT_TRUE(result.col_of_row.empty());
   EXPECT_EQ(result.total_cost, 0.0);
@@ -255,8 +258,8 @@ TEST(MatchingScratchTest, ShrinkThenGrowScratchReuseParity) {
 
 TEST(MatchingScratchTest, AllFilteredSolveLeavesScratchReusable) {
   // An instance whose every edge is dropped by the positivity filter
-  // returns before touching a scratch left by a previous larger solve (the
-  // degenerate-shard path of the sharded assigner).
+  // returns before touching a scratch left by a previous larger solve (a
+  // PPI stage whose edges are all filtered).
   MatchingScratch scratch;
   std::vector<Edge> real = {{0, 0, 2.0}, {0, 1, 5.0}, {1, 0, 4.0},
                             {1, 1, 1.0}};

@@ -1,7 +1,8 @@
 // Rectangular MaxWeightMatching against the square-padded oracle: the
-// solver builds a min(T,W) x max(T,W) cost matrix, transposing when there
-// are more left than right vertices, and must reproduce the padded solve's
-// pairs and total_weight bitwise whenever the optimum is unique.
+// solver drops every vertex without a positive edge, builds a
+// min(l',r') x max(l',r') cost matrix over the kept ones (transposing when
+// more left than right vertices are kept), and must reproduce the padded
+// solve's pairs and total_weight bitwise whenever the optimum is unique.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
@@ -32,6 +33,50 @@ std::vector<Edge> RandomEdges(int num_left, int num_right, double density,
         edges.push_back({l, r, rng.Uniform(0.1, 10.0)});
       }
     }
+  }
+  return edges;
+}
+
+/// Every edge inside the last min(3, L) x min(2, R) corner: all other rows
+/// and columns have no edge at all.
+std::vector<Edge> CornerEdges(int num_left, int num_right, Rng& rng) {
+  std::vector<Edge> edges;
+  for (int l = num_left - std::min(3, num_left); l < num_left; ++l) {
+    for (int r = num_right - std::min(2, num_right); r < num_right; ++r) {
+      edges.push_back({l, r, rng.Uniform(0.1, 10.0)});
+    }
+  }
+  return edges;
+}
+
+/// About half the vertices of each side keep positive edges. Every other
+/// left vertex and half of the other right ones get one NaN, zero or
+/// negative edge and nothing else; the remaining right vertices appear in
+/// no edge at all.
+std::vector<Edge> IsolatedVertexEdges(int num_left, int num_right, Rng& rng) {
+  const double junk[] = {std::numeric_limits<double>::quiet_NaN(), 0.0, -1.0};
+  std::vector<char> keep_left(static_cast<size_t>(num_left));
+  std::vector<char> keep_right(static_cast<size_t>(num_right));
+  for (char& keep : keep_left) keep = rng.Bernoulli(0.5);
+  for (char& keep : keep_right) keep = rng.Bernoulli(0.5);
+  std::vector<Edge> edges;
+  for (int l = 0; l < num_left; ++l) {
+    for (int r = 0; r < num_right; ++r) {
+      if (keep_left[static_cast<size_t>(l)] &&
+          keep_right[static_cast<size_t>(r)] && rng.Bernoulli(0.5)) {
+        edges.push_back({l, r, rng.Uniform(0.1, 10.0)});
+      }
+    }
+  }
+  for (int l = 0; l < num_left; ++l) {
+    if (keep_left[static_cast<size_t>(l)]) continue;
+    edges.push_back({l, static_cast<int>(rng.UniformInt(0, num_right - 1)),
+                     junk[rng.UniformInt(0, 2)]});
+  }
+  for (int r = 0; r < num_right; ++r) {
+    if (keep_right[static_cast<size_t>(r)] || rng.Bernoulli(0.5)) continue;
+    edges.push_back({static_cast<int>(rng.UniformInt(0, num_left - 1)), r,
+                     junk[rng.UniformInt(0, 2)]});
   }
   return edges;
 }
@@ -81,17 +126,22 @@ std::string ShapeName(const ::testing::TestParamInfo<Shape>& info) {
 class RectangularParitySweep : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(RectangularParitySweep, ContinuousWeightsMatchOracleBitwise) {
+  // Dense random edges, then two inputs whose whole rows and columns have
+  // no positive edge, so the solver drops them before it builds the matrix.
   const Shape shape = GetParam();
   Rng rng(static_cast<uint64_t>(1000 * shape.num_left + shape.num_right));
   for (int trial = 0; trial < shape.trials; ++trial) {
-    const std::vector<Edge> edges =
-        RandomEdges(shape.num_left, shape.num_right, 0.3, rng);
-    const MatchResult got =
-        MaxWeightMatching(shape.num_left, shape.num_right, edges);
-    ExpectValidMatchingOfRealEdges(got, shape.num_left, shape.num_right,
-                                   edges);
-    ExpectBitwiseEqual(got, SquarePaddedMaxWeightMatching(
-                                shape.num_left, shape.num_right, edges));
+    for (const std::vector<Edge>& edges :
+         {RandomEdges(shape.num_left, shape.num_right, 0.3, rng),
+          CornerEdges(shape.num_left, shape.num_right, rng),
+          IsolatedVertexEdges(shape.num_left, shape.num_right, rng)}) {
+      const MatchResult got =
+          MaxWeightMatching(shape.num_left, shape.num_right, edges);
+      ExpectValidMatchingOfRealEdges(got, shape.num_left, shape.num_right,
+                                     edges);
+      ExpectBitwiseEqual(got, SquarePaddedMaxWeightMatching(
+                                  shape.num_left, shape.num_right, edges));
+    }
   }
 }
 
@@ -206,22 +256,42 @@ TEST(RectangularMatchingTest, ScratchReuseAcrossTransposedAndNot) {
   }
 }
 
-TEST(MatchingCellsTest, RectangularSolveCountsRowsTimesCols) {
-  // The deterministic work counter behind the bench gate: a 500 x 10 solve
-  // builds a 10 x 500 matrix (5,000 cells). A regression to square padding
-  // would count 250,000.
+TEST(MatchingCellsTest, CompactedSolveCountsKeptRowsTimesCols) {
+  // The deterministic work counter of the fig-7 baseline: a solve counts
+  // rows x cols of the compacted matrix. At density 0.2 about a tenth of
+  // the 500 side has no edge, so a 500 x 10 solve counts fewer than the
+  // 10 x 500 = 5,000 cells of an uncompacted one (and far fewer than the
+  // 250,000 of square padding).
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Counter& cells = registry.GetCounter("matching.cells");
   obs::Counter& solves = registry.GetCounter("matching.solves");
   Rng rng(5);
-  for (auto [num_left, num_right] : {std::pair{500, 10}, std::pair{10, 500}}) {
+  struct Case {
+    int num_left;
+    int num_right;
+    int64_t cells;
+  };
+  for (const Case& c : {Case{500, 10, 4350}, Case{10, 500, 4490}}) {
     const std::vector<Edge> edges =
-        RandomEdges(num_left, num_right, 0.2, rng);
+        RandomEdges(c.num_left, c.num_right, 0.2, rng);
     const int64_t cells_before = cells.value();
     const int64_t solves_before = solves.value();
-    (void)MaxWeightMatching(num_left, num_right, edges);
-    EXPECT_EQ(cells.value() - cells_before, 5000);
+    (void)MaxWeightMatching(c.num_left, c.num_right, edges);
+    EXPECT_EQ(cells.value() - cells_before, c.cells);
     EXPECT_EQ(solves.value() - solves_before, 1);
+  }
+  // Every positive edge inside a 3 x 2 corner: exactly 6 cells, in both
+  // orientations. Vertices outside it whose only edges are NaN, zero or
+  // negative stay out of the matrix.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (auto [num_left, num_right] : {std::pair{500, 10}, std::pair{10, 500}}) {
+    std::vector<Edge> edges = CornerEdges(num_left, num_right, rng);
+    edges.push_back({0, 0, nan});
+    edges.push_back({1, 1, 0.0});
+    edges.push_back({2, 0, -1.0});
+    const int64_t cells_before = cells.value();
+    (void)MaxWeightMatching(num_left, num_right, edges);
+    EXPECT_EQ(cells.value() - cells_before, 6);
   }
   // Solves that build no matrix count nothing.
   const int64_t cells_before = cells.value();

@@ -126,15 +126,6 @@ bench_gate_stage() {
   run_stage "bench-gate-stream" "$compare" \
             "$baselines/BENCH_stream.json" \
             "$dir/BENCH_stream.json" || return 1
-  # Geo-sharded assignment at fleet scale (W = 1k/10k/100k synthetic
-  # clustered fleets): shard counts, max shard size, candidate rows and
-  # matched pairs are pure functions of the synthesis seeds and gate
-  # bitwise; assign_per_s and the `_s` stage clocks stay advisory.
-  run_stage "bench-run-scale" env TAMP_BENCH_JSON_DIR="$dir" \
-            "$dir/bench/bench_scale" || return 1
-  run_stage "bench-gate-scale" "$compare" \
-            "$baselines/BENCH_scale.json" \
-            "$dir/BENCH_scale.json" || return 1
   run_stage "bench-gate-threads-invariance" "$compare" \
             "$baselines/BENCH_table4_cluster_ablation.threads1.json" \
             "$baselines/BENCH_table4_cluster_ablation.threads4.json" \
