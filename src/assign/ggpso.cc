@@ -21,14 +21,26 @@ struct Individual {
   double fitness = -std::numeric_limits<double>::infinity();
 };
 
-struct FeasibleEdge {
-  int worker = -1;
-  double min_dis = 0.0;
-  double closeness = 0.0;  // 1 / (1 + min_dis), the fitness cost term.
+/// One (task, worker) cell of the dense edge table.
+struct PairEdge {
+  double min_dis = std::numeric_limits<double>::infinity();
+  double closeness = 0.0;  // 1 / (1 + min_dis); 0 when not feasible.
 };
 
-/// Feasible workers per task plus the distance used by the fitness term.
-using FeasibilityTable = std::vector<std::vector<FeasibleEdge>>;
+/// Feasible workers per task, in the candidate order the operators draw
+/// from, plus each pair's distance and fitness cost term in one dense
+/// T x W table, built once per solve, so the fitness and the plan look a
+/// pair up without scanning its row. Where a pair has duplicate edges,
+/// the first one in its row wins.
+struct FeasibilityTable {
+  std::vector<std::vector<int>> rows;
+  size_t num_workers = 0;
+  std::vector<PairEdge> dense;  // [task * num_workers + worker].
+
+  const PairEdge& Edge(size_t task, int worker) const {
+    return dense[task * num_workers + static_cast<size_t>(worker)];
+  }
+};
 
 FeasibilityTable BuildTable(const std::vector<SpatialTask>& tasks,
                             const std::vector<CandidateWorker>& workers,
@@ -42,29 +54,28 @@ FeasibilityTable BuildTable(const std::vector<SpatialTask>& tasks,
   const CandidateIndex index(workers);
   build_hist.Record(build_watch.ElapsedSeconds());
   build_span.reset();
+  std::optional<obs::TraceSpan> candidates_span(std::in_place,
+                                                "assign.candidates");
   const std::vector<std::vector<TaskCandidate>> candidates =
       GenerateCandidates(tasks, workers, match_radius_km, now_min, &index);
-  FeasibilityTable table(tasks.size());
+  candidates_span.reset();
+  FeasibilityTable table;
+  table.rows.resize(tasks.size());
+  table.num_workers = workers.size();
+  table.dense.resize(tasks.size() * workers.size());
   for (size_t t = 0; t < candidates.size(); ++t) {
     for (const TaskCandidate& tc : candidates[t]) {
-      if (tc.stage3_feasible) {
-        table[t].push_back({tc.worker, tc.min_dis, 1.0 / (1.0 + tc.min_dis)});
-      }
+      if (tc.stage3_feasible) table.rows[t].push_back(tc.worker);
+    }
+    // Backwards, so the first of duplicate edges is written last and wins.
+    for (size_t e = candidates[t].size(); e-- > 0;) {
+      const TaskCandidate& tc = candidates[t][e];
+      if (!tc.stage3_feasible) continue;
+      table.dense[t * table.num_workers + static_cast<size_t>(tc.worker)] =
+          {tc.min_dis, 1.0 / (1.0 + tc.min_dis)};
     }
   }
   return table;
-}
-
-/// Task `task`'s edge to `worker`, or an infinitely distant one with no
-/// cost term when the pair is not feasible.
-const FeasibleEdge& EdgeOf(const FeasibilityTable& table, size_t task,
-                           int worker) {
-  static const FeasibleEdge kNoEdge{
-      -1, std::numeric_limits<double>::infinity(), 0.0};
-  for (const FeasibleEdge& e : table[task]) {
-    if (e.worker == worker) return e;
-  }
-  return kNoEdge;
 }
 
 double Fitness(const Individual& ind, const FeasibilityTable& table,
@@ -74,7 +85,7 @@ double Fitness(const Individual& ind, const FeasibilityTable& table,
     int w = ind.worker_of_task[t];
     if (w < 0) continue;
     completed += 1.0;
-    cost_term += EdgeOf(table, t, w).closeness;
+    cost_term += table.Edge(t, w).closeness;
   }
   return completed + cost_weight * cost_term;
 }
@@ -82,21 +93,22 @@ double Fitness(const Individual& ind, const FeasibilityTable& table,
 /// Fills `ind` with a random feasible plan; `used` is one flag per worker.
 void RandomIndividual(const FeasibilityTable& table, Rng& rng,
                       std::vector<char>& used, Individual& ind) {
-  ind.worker_of_task.assign(table.size(), -1);
+  ind.worker_of_task.assign(table.rows.size(), -1);
   std::fill(used.begin(), used.end(), 0);
-  std::vector<size_t> order(table.size());
+  std::vector<size_t> order(table.rows.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   rng.Shuffle(order);
   for (size_t t : order) {
-    if (table[t].empty()) continue;
+    const std::vector<int>& row = table.rows[t];
+    if (row.empty()) continue;
     size_t pick = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(table[t].size()) - 1));
+        rng.UniformInt(0, static_cast<int64_t>(row.size()) - 1));
     // Linear probe from a random start so every feasible worker can win.
-    for (size_t probe = 0; probe < table[t].size(); ++probe) {
-      const FeasibleEdge& e = table[t][(pick + probe) % table[t].size()];
-      if (!used[static_cast<size_t>(e.worker)]) {
-        ind.worker_of_task[t] = e.worker;
-        used[static_cast<size_t>(e.worker)] = 1;
+    for (size_t probe = 0; probe < row.size(); ++probe) {
+      const int worker = row[(pick + probe) % row.size()];
+      if (!used[static_cast<size_t>(worker)]) {
+        ind.worker_of_task[t] = worker;
+        used[static_cast<size_t>(worker)] = 1;
         break;
       }
     }
@@ -127,10 +139,11 @@ void Mutate(Individual& ind, const FeasibilityTable& table, double rate,
     if (w >= 0) used[static_cast<size_t>(w)] = 1;
   }
   for (size_t t = 0; t < ind.worker_of_task.size(); ++t) {
-    if (table[t].empty() || !rng.Bernoulli(rate)) continue;
+    const std::vector<int>& row = table.rows[t];
+    if (row.empty() || !rng.Bernoulli(rate)) continue;
     size_t pick = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(table[t].size()) - 1));
-    int candidate = table[t][pick].worker;
+        rng.UniformInt(0, static_cast<int64_t>(row.size()) - 1));
+    int candidate = row[pick];
     if (used[static_cast<size_t>(candidate)]) continue;
     if (ind.worker_of_task[t] >= 0) {
       used[static_cast<size_t>(ind.worker_of_task[t])] = 0;
@@ -161,7 +174,7 @@ AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
   Stopwatch solve_watch;
   obs::TraceSpan solve_span("ggpso.solve");
 
-  FeasibilityTable table =
+  const FeasibilityTable table =
       BuildTable(tasks, workers, config.match_radius_km, now_min);
   Rng rng(config.seed);
   const size_t pop_size = static_cast<size_t>(config.population);
@@ -210,7 +223,7 @@ AssignmentPlan GgpsoAssign(const std::vector<SpatialTask>& tasks,
     int w = best.worker_of_task[t];
     if (w < 0) continue;
     plan.pairs.push_back(
-        {static_cast<int>(t), w, EdgeOf(table, t, w).min_dis});
+        {static_cast<int>(t), w, table.Edge(t, w).min_dis});
   }
   solve_hist.Record(solve_watch.ElapsedSeconds());
   return plan;

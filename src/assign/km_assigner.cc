@@ -31,8 +31,11 @@ AssignmentPlan KmAssign(const std::vector<SpatialTask>& tasks,
   const CandidateIndex index(workers);
   build_hist.Record(build_watch.ElapsedSeconds());
   build_span.reset();
+  std::optional<obs::TraceSpan> candidates_span(std::in_place,
+                                                "assign.candidates");
   const std::vector<std::vector<TaskCandidate>> table = GenerateCandidates(
       tasks, workers, match_radius_km, now_min, &index);
+  candidates_span.reset();
 
   std::vector<matching::Edge> edges;
   for (size_t t = 0; t < table.size(); ++t) {

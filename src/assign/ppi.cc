@@ -110,8 +110,11 @@ AssignmentPlan PpiAssign(const std::vector<SpatialTask>& tasks,
   const CandidateIndex index(workers);
   build_hist.Record(build_watch.ElapsedSeconds());
   build_span.reset();
+  std::optional<obs::TraceSpan> candidates_span(std::in_place,
+                                                "assign.candidates");
   const std::vector<std::vector<TaskCandidate>> table = GenerateCandidates(
       tasks, workers, config.match_radius_km, now_min, &index);
+  candidates_span.reset();
 
   std::vector<char> task_done(static_cast<size_t>(num_tasks), 0);
   std::vector<char> worker_done(static_cast<size_t>(num_workers), 0);

@@ -14,30 +14,11 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : state_) s = SplitMix64(sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::Uniform01() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) {
@@ -102,8 +83,6 @@ double Rng::Exponential(double rate) {
   } while (u <= 1e-300);
   return -std::log(u) / rate;
 }
-
-bool Rng::Bernoulli(double p) { return Uniform01() < p; }
 
 size_t Rng::SampleIndex(const std::vector<double>& weights) {
   TAMP_CHECK(!weights.empty());

@@ -15,11 +15,25 @@ class Rng {
   /// Seeds the generator; identical seeds yield identical streams.
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Next raw 64-bit value.
-  uint64_t Next();
+  /// Next raw 64-bit value. Inline, with Uniform01 and Bernoulli, because
+  /// hot loops (GGPSO's operators) draw one value per gene.
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double Uniform01();
+  double Uniform01() {
+    // 53 random mantissa bits -> uniform in [0, 1).
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
@@ -41,7 +55,7 @@ class Rng {
   double Exponential(double rate);
 
   /// True with probability p (clamped to [0, 1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) { return Uniform01() < p; }
 
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Non-positive weights are treated as zero; if all weights are zero the
@@ -62,6 +76,10 @@ class Rng {
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t count);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   bool has_spare_normal_ = false;
   double spare_normal_ = 0.0;

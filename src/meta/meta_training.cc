@@ -39,21 +39,17 @@ double BatchLossAndGradient(const nn::EncoderDecoder& model,
   TAMP_CHECK(grad.size() == params.size());
   TAMP_CHECK(weights.empty() || weights.size() == samples.size());
   static const std::vector<double> kUniform;
-  // Per-pool-thread BPTT buffers and per-sample gradient: every sample
-  // overwrites what it reads, so the loop is allocation-free and the
-  // fan-out stays bit-deterministic.
+  // Per-pool-thread BPTT buffers: every sample overwrites what it reads,
+  // so the loop is allocation-free and the fan-out stays bit-deterministic.
+  // Each sample adds its gradient times 1/N straight into `grad`.
   thread_local nn::TrainScratch scratch;
-  thread_local std::vector<double> sample_grad;
-  sample_grad.resize(params.size());
   double loss_sum = 0.0;
   double inv = 1.0 / static_cast<double>(samples.size());
   for (size_t s = 0; s < samples.size(); ++s) {
     const TrainingSample& sample = samples[s];
-    std::fill(sample_grad.begin(), sample_grad.end(), 0.0);
     loss_sum += model.LossAndGradient(params, sample.input, sample.target,
                                       weights.empty() ? kUniform : weights[s],
-                                      sample_grad, &scratch);
-    for (size_t i = 0; i < grad.size(); ++i) grad[i] += sample_grad[i] * inv;
+                                      grad, &scratch, inv);
   }
   // Plain division (not * inv) keeps the loss bit-identical to the
   // pre-optimization code path.

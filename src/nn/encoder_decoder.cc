@@ -98,7 +98,8 @@ double EncoderDecoder::LossAndGradient(const std::vector<double>& params,
                                        const Sequence& target_seq,
                                        const std::vector<double>& step_weights,
                                        std::vector<double>& grad,
-                                       TrainScratch* scratch) const {
+                                       TrainScratch* scratch,
+                                       double scale) const {
   TAMP_CHECK(grad.size() == param_count_);
   CheckTargetShape(target_seq);
   TrainScratch local;
@@ -113,26 +114,35 @@ double EncoderDecoder::LossAndGradient(const std::vector<double>& params,
 
   const size_t hd = static_cast<size_t>(config_.hidden_dim);
   const size_t out_dim = static_cast<size_t>(config_.output_dim);
+  const size_t seq_in = input_seq.size();
+  const size_t seq_out = static_cast<size_t>(config_.seq_out);
   s.dh.assign(hd, 0.0);
   s.dc.assign(hd, 0.0);
   s.dh_step.resize(hd);
-  s.dz.resize(4 * hd);
+  s.enc_dz.resize(seq_in * 4 * hd);
+  s.dec_dz.resize(seq_out * 4 * hd);
 
-  // Backward through the decoder. Teacher forcing means decoder inputs are
-  // constants, so no gradient flows through them; the recurrent state
+  // State pass through the decoder. Teacher forcing means decoder inputs
+  // are constants, so no gradient flows through them; the recurrent state
   // carries all credit back into the encoder.
-  for (size_t t = static_cast<size_t>(config_.seq_out); t-- > 0;) {
-    readout_.Backward(params, s.dec_hidden.data() + t * hd,
-                      s.dout.data() + t * out_dim, grad, s.dh_step.data());
+  for (size_t t = seq_out; t-- > 0;) {
+    readout_.BackwardInput(params, s.dout.data() + t * out_dim,
+                           s.dh_step.data());
     for (size_t k = 0; k < hd; ++k) s.dh[k] += s.dh_step[k];
-    decoder_.Backward(params, s.dec, t, s.dh.data(), s.dc.data(),
-                      s.dz.data(), grad);
+    decoder_.BackwardState(params, s.dec, t, s.dh.data(), s.dc.data(),
+                           s.dec_dz.data() + t * 4 * hd);
   }
-  // Backward through the encoder; input gradients are not needed.
-  for (size_t t = input_seq.size(); t-- > 0;) {
-    encoder_.Backward(params, s.enc, t, s.dh.data(), s.dc.data(),
-                      s.dz.data(), grad);
+  // State pass through the encoder; input gradients are not needed.
+  for (size_t t = seq_in; t-- > 0;) {
+    encoder_.BackwardState(params, s.enc, t, s.dh.data(), s.dc.data(),
+                           s.enc_dz.data() + t * 4 * hd);
   }
+
+  // Weight pass: each parameter's gradient is written once.
+  readout_.WeightGradient(s.dec_hidden.data(), s.dout.data(), seq_out, scale,
+                          grad);
+  decoder_.WeightGradient(s.dec, s.dec_dz.data(), seq_out, scale, grad);
+  encoder_.WeightGradient(s.enc, s.enc_dz.data(), seq_in, scale, grad);
   return loss;
 }
 

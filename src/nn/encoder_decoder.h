@@ -23,7 +23,7 @@ struct Seq2SeqConfig {
 
 /// Reusable buffers for EncoderDecoder's passes: the flat step-major BPTT
 /// caches of both cells, the decoder's hidden states, outputs and output
-/// gradients ([seq_out][width] each), and the backward temporaries.
+/// gradients ([seq_out][width] each), and the backward buffers.
 /// Without one, every call allocates them afresh; a scratch persisted
 /// across calls (shrink-then-grow safe, any model shape) makes
 /// LossAndGradient and EvalLoss allocation-free. Results are bitwise
@@ -37,11 +37,14 @@ struct TrainScratch {
   std::vector<double> dec_hidden;  // [seq_out][H] decoder hidden states.
   std::vector<double> outputs;     // [seq_out][output_dim] predictions.
   std::vector<double> dout;        // [seq_out][output_dim] dLoss/doutputs.
-  // Backward temporaries: dh, dc and dh_step are [H], dz is [4H].
+  // State-pass carries: dh, dc and dh_step are [H].
   std::vector<double> dh;
   std::vector<double> dc;
   std::vector<double> dh_step;
-  std::vector<double> dz;
+  // Gate gradients the state pass leaves for the weight pass: [seq_in][4H]
+  // and [seq_out][4H].
+  std::vector<double> enc_dz;
+  std::vector<double> dec_dz;
 };
 
 /// The gradient-free passes (Predict, EvalLoss) fill the forward half of
@@ -77,14 +80,24 @@ class EncoderDecoder {
 
   /// Teacher-forced training pass on one (input, target) sample: runs the
   /// forward pass, computes the weighted MSE (Eq. 6; empty `step_weights`
-  /// means plain MSE), and *accumulates* dLoss/dparams into `grad` (which
-  /// must be param_count() long). Returns the loss value. `scratch`
-  /// (optional) reuses the BPTT buffers across calls.
+  /// means plain MSE), and adds `scale` times dLoss/dparams into `grad`
+  /// (which must be param_count() long). Returns the loss value.
+  /// `scratch` (optional) reuses the BPTT buffers across calls.
+  ///
+  /// BPTT runs in two passes. The state pass walks the steps backwards
+  /// (decoder, then encoder) carrying dh/dc and keeps each step's gate
+  /// gradients; the weight pass then sums every parameter's gradient over
+  /// its module's steps in registers, starting from +0.0, and writes it
+  /// once as grad[i] += sum * scale. On a zeroed `grad` with scale = 1
+  /// the result is bitwise the per-step accumulation into `grad`; with
+  /// scale = 1/N per sample it is bitwise the fold "zero a sample
+  /// gradient, accumulate it, add it times 1/N".
   double LossAndGradient(const std::vector<double>& params,
                          const Sequence& input_seq, const Sequence& target_seq,
                          const std::vector<double>& step_weights,
                          std::vector<double>& grad,
-                         TrainScratch* scratch = nullptr) const;
+                         TrainScratch* scratch = nullptr,
+                         double scale = 1.0) const;
 
   /// Loss of the autoregressive prediction against the target (no
   /// gradient); used for held-out evaluation. With a `scratch` the call is

@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "nn/activation.h"
 #include "nn/init.h"
+#include "nn/linear.h"
 
 namespace tamp::nn {
 
@@ -115,21 +116,14 @@ void LstmCell::Forward(const std::vector<double>& params, const double* x,
   for (size_t k = 0; k < hd; ++k) h[k] = o[k] * tanh_c[k];
 }
 
-void LstmCell::Backward(const std::vector<double>& params,
-                        const LstmTrace& trace, size_t step, double* dh,
-                        double* dc, double* dz,
-                        std::vector<double>& grad) const {
-  TAMP_CHECK(grad.size() == params.size());
+void LstmCell::BackwardState(const std::vector<double>& params,
+                             const LstmTrace& trace, size_t step, double* dh,
+                             double* dc, double* dz) const {
   const size_t id = static_cast<size_t>(input_dim_);
   const size_t hd = static_cast<size_t>(hidden_dim_);
   const size_t h4 = 4 * hd;
   TAMP_CHECK(trace.tanh_c.size() >= (step + 1) * hd);
   const double* wh = params.data() + offset_ + h4 * id;
-  double* dwx = grad.data() + offset_;
-  double* dwh = dwx + h4 * id;
-  double* db = dwh + h4 * hd;
-  const double* x = trace.x.data() + step * id;
-  const double* h_prev = trace.h_prev.data() + step * hd;
   const double* c_prev = trace.c_prev.data() + step * hd;
   const double* gates = trace.gates.data() + step * h4;
   const double* tanh_c = trace.tanh_c.data() + step * hd;
@@ -152,20 +146,25 @@ void LstmCell::Backward(const std::vector<double>& params,
     dc[k] = d_c * f;
   }
 
-  // dh is fully consumed above; it now accumulates the h_prev gradient.
-  std::fill(dh, dh + hd, 0.0);
-  for (size_t r = 0; r < h4; ++r) {
-    double gz = dz[r];
-    db[r] += gz;
-    double* dwxr = dwx + r * id;
-    for (size_t k = 0; k < id; ++k) dwxr[k] += gz * x[k];
-    const double* whr = wh + r * hd;
-    double* dwhr = dwh + r * hd;
-    for (size_t k = 0; k < hd; ++k) {
-      dwhr[k] += gz * h_prev[k];
-      dh[k] += gz * whr[k];
-    }
-  }
+  // dh is fully consumed above; it becomes the h_prev gradient W_h^T dz.
+  TransposedMatVec(wh, h4, hd, dz, dh);
+}
+
+void LstmCell::WeightGradient(const LstmTrace& trace, const double* dz,
+                              size_t steps, double scale,
+                              std::vector<double>& grad) const {
+  TAMP_CHECK(grad.size() >= offset_ + param_count());
+  const size_t id = static_cast<size_t>(input_dim_);
+  const size_t hd = static_cast<size_t>(hidden_dim_);
+  const size_t h4 = 4 * hd;
+  TAMP_CHECK(trace.tanh_c.size() >= steps * hd);
+  double* dwx = grad.data() + offset_;
+  double* dwh = dwx + h4 * id;
+  double* db = dwh + h4 * hd;
+  AccumulateWeightGradient(dz, h4, trace.x.data(), id, steps, scale, dwx);
+  AccumulateWeightGradient(dz, h4, trace.h_prev.data(), hd, steps, scale,
+                           dwh);
+  AccumulateBiasGradient(dz, h4, steps, scale, db);
 }
 
 }  // namespace tamp::nn

@@ -8,10 +8,10 @@
 namespace tamp::nn {
 
 /// Flat BPTT activation trace of one LstmCell over a sequence, written by
-/// LstmCell::Forward and consumed by LstmCell::Backward. Every field is one
-/// contiguous step-major [step][width] array; LstmCell::ResizeTrace only
-/// grows capacity, so a trace reused across calls makes the forward and
-/// backward passes allocation-free.
+/// LstmCell::Forward and consumed by BackwardState and WeightGradient.
+/// Every field is one contiguous step-major [step][width] array;
+/// LstmCell::ResizeTrace only grows capacity, so a trace reused across
+/// calls makes the forward and backward passes allocation-free.
 struct LstmTrace {
   std::vector<double> x;       // [step][input_dim] input.
   std::vector<double> h_prev;  // [step][H] hidden state entering the step.
@@ -64,13 +64,23 @@ class LstmCell {
   void Forward(const std::vector<double>& params, const double* x, double* h,
                double* c, LstmTrace& trace, size_t step) const;
 
-  /// Backward through row `step` of `trace`. `dh`/`dc` (hidden_dim each)
-  /// carry the gradient w.r.t. the step's outputs and are replaced with the
-  /// gradient w.r.t. the incoming h_prev/c_prev. `dz` is 4 * hidden_dim
-  /// scratch. Parameter gradients accumulate into `grad`.
-  void Backward(const std::vector<double>& params, const LstmTrace& trace,
-                size_t step, double* dh, double* dc, double* dz,
-                std::vector<double>& grad) const;
+  /// State pass of BPTT through row `step` of `trace`. `dh`/`dc`
+  /// (hidden_dim each) carry the gradient w.r.t. the step's outputs and are
+  /// replaced with the gradient w.r.t. the incoming h_prev/c_prev; `dz`
+  /// (4 * hidden_dim) receives the step's gate pre-activation gradients
+  /// [i f g o], which WeightGradient consumes. Writes no parameter
+  /// gradient.
+  void BackwardState(const std::vector<double>& params,
+                     const LstmTrace& trace, size_t step, double* dh,
+                     double* dc, double* dz) const;
+
+  /// Weight pass over the first `steps` rows of `trace`, with `dz` the
+  /// step-major [step][4H] gate gradients of BackwardState: adds scale
+  /// times the W_x, W_h and b gradients into `grad`. Every parameter's
+  /// sum starts from +0.0, adds its steps in descending order in
+  /// registers and is written once (AccumulateWeightGradient).
+  void WeightGradient(const LstmTrace& trace, const double* dz, size_t steps,
+                      double scale, std::vector<double>& grad) const;
 
  private:
   int input_dim_;

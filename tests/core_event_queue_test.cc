@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -104,6 +105,63 @@ TEST(EventQueueTest, InterleavedPushPopKeepsOrder) {
   EXPECT_EQ(queue.Pop().id, 1);
   EXPECT_EQ(queue.Pop().kind, EventKind::kAssignTrigger);
   EXPECT_TRUE(queue.empty());
+}
+
+/// Draws one event on a coarse grid, so equal instants across kinds and
+/// equal (time, kind) pairs across ids are common.
+SimEvent RandomEvent(Rng& rng) {
+  SimEvent event;
+  event.time_min = 0.5 * static_cast<double>(rng.UniformInt(0, 12));
+  event.kind = static_cast<EventKind>(rng.UniformInt(0, 5));
+  event.id = rng.UniformInt(0, 6);
+  return event;
+}
+
+TEST(EventQueueTest, FuzzMatchesSortedVectorModel) {
+  // Random push/pop interleavings against the plainest model of the
+  // contract: a vector kept sorted by (time_min, kind, id). Each step is a
+  // single push, a burst of pushes, a single pop or a drain to empty;
+  // after every step the sizes agree and Peek is the model's least event.
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    EventQueue queue;
+    std::vector<SimEvent> model;
+    const auto push = [&](const SimEvent& event) {
+      queue.Push(event);
+      model.insert(
+          std::upper_bound(model.begin(), model.end(), event, EventBefore),
+          event);
+    };
+    const auto pop = [&] {
+      ASSERT_FALSE(queue.empty());
+      EXPECT_EQ(queue.Pop(), model.front());
+      model.erase(model.begin());
+    };
+    int drains = 0;
+    for (int step = 0; step < 600; ++step) {
+      const int64_t op = rng.UniformInt(0, 99);
+      if (op < 40) {
+        push(RandomEvent(rng));
+      } else if (op < 50) {
+        const int64_t burst = rng.UniformInt(2, 12);
+        for (int64_t i = 0; i < burst; ++i) push(RandomEvent(rng));
+      } else if (op < 95) {
+        if (!model.empty()) pop();
+      } else {
+        while (!model.empty()) pop();
+        ++drains;
+      }
+      ASSERT_EQ(queue.size(), model.size());
+      ASSERT_EQ(queue.empty(), model.empty());
+      if (!model.empty()) {
+        EXPECT_EQ(queue.Peek(), model.front());
+      }
+    }
+    while (!model.empty()) pop();
+    EXPECT_TRUE(queue.empty());
+    EXPECT_GT(drains, 0);
+  }
 }
 
 TEST(EventKindNameTest, AllNamed) {

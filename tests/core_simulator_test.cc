@@ -131,7 +131,9 @@ TEST_F(SimulatorTest, OneRunRecordsExactlyOneSimRunSpan) {
 TEST_F(SimulatorTest, ForecastSpansOnlyWhenTheMethodPredicts) {
   // sim.forecast times the fleet rollout alone: UB/LB never forecast, so
   // they record none, while every batch still builds its views. KM records
-  // one forecast per batch.
+  // one forecast per batch. The candidate layer is the same: KM, PPI and
+  // GGPSO build one candidate table per batch under assign.candidates,
+  // UB and LB build none.
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   const auto spans_of = [&](AssignMethod method) {
     recorder.Clear();
@@ -146,6 +148,8 @@ TEST_F(SimulatorTest, ForecastSpansOnlyWhenTheMethodPredicts) {
        {AssignMethod::kUpperBound, AssignMethod::kLowerBound}) {
     const std::map<std::string, obs::SpanStats> spans = spans_of(method);
     EXPECT_EQ(spans.count("sim.forecast"), 0u) << AssignMethodName(method);
+    EXPECT_EQ(spans.count("assign.candidates"), 0u)
+        << AssignMethodName(method);
     ASSERT_EQ(spans.count("sim.batch"), 1u) << AssignMethodName(method);
     ASSERT_EQ(spans.count("sim.views"), 1u) << AssignMethodName(method);
     EXPECT_EQ(spans.at("sim.views").count, spans.at("sim.batch").count);
@@ -159,6 +163,16 @@ TEST_F(SimulatorTest, ForecastSpansOnlyWhenTheMethodPredicts) {
   ASSERT_EQ(km.count("sim.forecast"), 1u);
   EXPECT_EQ(km.at("sim.forecast").count, km.at("sim.batch").count);
   EXPECT_EQ(km.at("sim.views").count, km.at("sim.batch").count);
+  for (AssignMethod method :
+       {AssignMethod::kKm, AssignMethod::kPpi, AssignMethod::kGgpso}) {
+    const std::map<std::string, obs::SpanStats> spans = spans_of(method);
+    ASSERT_EQ(spans.count("sim.batch"), 1u) << AssignMethodName(method);
+    ASSERT_EQ(spans.count("assign.candidates"), 1u)
+        << AssignMethodName(method);
+    EXPECT_EQ(spans.at("assign.candidates").count,
+              spans.at("sim.batch").count)
+        << AssignMethodName(method);
+  }
 }
 
 TEST(AssignMethodNameTest, AllNamed) {

@@ -1,11 +1,15 @@
-// Parity of the flat, allocation-free BPTT kernel: EncoderDecoder's
+// Parity of the two-pass, allocation-free BPTT kernel: EncoderDecoder's
 // LossAndGradient through one reused TrainScratch against fresh-scratch
-// calls and against a per-step-vector reference (the cache layout the flat
-// trace replaced), and BatchLossAndGradient's per-thread scratch at 1 and
-// 4 threads. Every comparison is exact.
+// calls, against a per-step-vector reference (the cache layout the flat
+// trace replaced) and against the per-step, gradient-writing backward it
+// replaced (nn_bptt_oracle.h); its `scale` against the zero-fill-then-scale
+// fold; non-finite parameters; and BatchLossAndGradient's per-thread
+// scratch at 1 and 4 threads. Every comparison is exact.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/parallel.h"
@@ -13,6 +17,7 @@
 #include "meta/meta_training.h"
 #include "nn/encoder_decoder.h"
 #include "nn_activation_oracle.h"
+#include "nn_bptt_oracle.h"
 
 namespace tamp::nn {
 namespace {
@@ -173,20 +178,48 @@ struct Shape {
   int seq_in;
 };
 
-/// One reused scratch across every shape (seq_in 1 -> 10 -> 5, hidden
-/// sizes up and down), uniform and weighted loss: bitwise equal to a
-/// fresh-scratch call and to the per-step-vector reference.
+Seq2SeqConfig ConfigOf(const Shape& shape) {
+  Seq2SeqConfig config;
+  config.input_dim = shape.input_dim;
+  config.hidden_dim = shape.hidden_dim;
+  config.seq_out = shape.seq_out;
+  return config;
+}
+
+/// Every hidden width around the SSE2 blocks of the state and weight
+/// passes (eight columns per block, scalar tail below and above each
+/// multiple of 8), times both input widths, every decoder horizon and
+/// short, medium and long encoder sequences. Hidden widths alternate up
+/// and down so one reused scratch shrinks and grows.
+std::vector<Shape> SweepShapes() {
+  std::vector<Shape> shapes;
+  for (int hidden : {16, 1, 24, 7, 2, 17, 9, 3, 15, 8}) {
+    for (int input_dim : {2, 3}) {
+      for (int seq_out = 1; seq_out <= 3; ++seq_out) {
+        for (int seq_in : {1, 10, 5}) {
+          shapes.push_back({input_dim, hidden, seq_out, seq_in});
+        }
+      }
+    }
+  }
+  return shapes;
+}
+
+::testing::Message Describe(const Shape& shape) {
+  return ::testing::Message()
+         << "input_dim " << shape.input_dim << " hidden " << shape.hidden_dim
+         << " seq_out " << shape.seq_out << " seq_in " << shape.seq_in;
+}
+
+/// One reused scratch across the whole shape sweep, uniform and weighted
+/// loss, on zeroed gradients with scale 1: bitwise equal to a
+/// fresh-scratch call, to the per-step-vector reference and to the
+/// per-step backward oracle.
 TEST(BpttParityTest, ReusedScratchMatchesFreshAndReference) {
   tamp::Rng rng(101);
   TrainScratch scratch;
-  const Shape shapes[] = {{2, 16, 1, 1}, {3, 16, 1, 10}, {3, 16, 2, 5},
-                          {2, 7, 3, 10}, {3, 4, 3, 1},   {2, 16, 2, 5},
-                          {3, 16, 3, 5}, {3, 9, 1, 10}};
-  for (const Shape& shape : shapes) {
-    Seq2SeqConfig config;
-    config.input_dim = shape.input_dim;
-    config.hidden_dim = shape.hidden_dim;
-    config.seq_out = shape.seq_out;
+  for (const Shape& shape : SweepShapes()) {
+    const Seq2SeqConfig config = ConfigOf(shape);
     EncoderDecoder model(config);
     ReferenceSeq2Seq reference(config);
     std::vector<double> params = model.InitParams(rng);
@@ -195,24 +228,25 @@ TEST(BpttParityTest, ReusedScratchMatchesFreshAndReference) {
     std::vector<double> ramp;
     for (int t = 0; t < shape.seq_out; ++t) ramp.push_back(0.5 + t);
     for (const std::vector<double>& weights : {std::vector<double>{}, ramp}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "input_dim " << shape.input_dim << " hidden "
-                   << shape.hidden_dim << " seq_out " << shape.seq_out
-                   << " seq_in " << shape.seq_in << " weighted "
-                   << !weights.empty());
-      std::vector<double> reused(params.size(), 0.5);
-      std::vector<double> fresh(params.size(), 0.5);
-      std::vector<double> ref(params.size(), 0.5);
+      SCOPED_TRACE(Describe(shape) << " weighted " << !weights.empty());
+      std::vector<double> reused(params.size(), 0.0);
+      std::vector<double> fresh(params.size(), 0.0);
+      std::vector<double> ref(params.size(), 0.0);
+      std::vector<double> oracle(params.size(), 0.0);
       double reused_loss = model.LossAndGradient(params, input, target,
                                                  weights, reused, &scratch);
       double fresh_loss =
           model.LossAndGradient(params, input, target, weights, fresh);
       double ref_loss =
           reference.LossAndGradient(params, input, target, weights, ref);
+      double oracle_loss = testing::OracleLossAndGradient(
+          config, params, input, target, weights, oracle);
       EXPECT_EQ(reused_loss, fresh_loss);
       EXPECT_EQ(reused, fresh);
       EXPECT_EQ(reused_loss, ref_loss);
       EXPECT_EQ(reused, ref);
+      EXPECT_EQ(reused_loss, oracle_loss);
+      EXPECT_EQ(reused, oracle);
       // The forward half serves inference too.
       Sequence with_scratch = model.Predict(params, input, &scratch);
       EXPECT_EQ(with_scratch, model.Predict(params, input));
@@ -220,6 +254,160 @@ TEST(BpttParityTest, ReusedScratchMatchesFreshAndReference) {
                 model.EvalLoss(params, input, target, weights));
     }
   }
+}
+
+/// `scale` on a non-zero `grad`: bitwise the fold the weight pass
+/// replaced, "zero a sample gradient, accumulate the per-step oracle into
+/// it, then grad[i] += sample[i] * scale".
+TEST(BpttParityTest, ScaledAccumulationMatchesZeroFillFold) {
+  tamp::Rng rng(303);
+  TrainScratch scratch;
+  const Shape shapes[] = {{2, 16, 1, 10}, {3, 16, 3, 5}, {3, 9, 2, 1},
+                          {2, 7, 3, 10},  {3, 17, 1, 5}, {2, 1, 2, 5}};
+  for (const Shape& shape : shapes) {
+    const Seq2SeqConfig config = ConfigOf(shape);
+    EncoderDecoder model(config);
+    std::vector<double> params = model.InitParams(rng);
+    Sequence input = RandomSequence(rng, shape.seq_in, shape.input_dim);
+    Sequence target = RandomSequence(rng, shape.seq_out, 2);
+    std::vector<double> start(params.size());
+    for (double& g : start) g = rng.Uniform(-1.0, 1.0);
+    for (double scale : {0.2, 1.0 / 3.0, -1.5, 1.0}) {
+      SCOPED_TRACE(Describe(shape) << " scale " << scale);
+      std::vector<double> got = start;
+      double got_loss = model.LossAndGradient(params, input, target, {}, got,
+                                              &scratch, scale);
+      std::vector<double> sample(params.size(), 0.0);
+      double want_loss = testing::OracleLossAndGradient(config, params, input,
+                                                        target, {}, sample);
+      std::vector<double> want = start;
+      for (size_t i = 0; i < want.size(); ++i) want[i] += sample[i] * scale;
+      EXPECT_EQ(got_loss, want_loss);
+      EXPECT_EQ(got, want);
+    }
+  }
+}
+
+/// Counts the entries of `got` that differ from `want` bit for bit, where
+/// a NaN in `want` only has to meet a NaN (SSE2 lanes and scalar code may
+/// propagate different NaN payloads). Tallies NaN and infinite entries of
+/// `want` so a caller can check that its plants reached the output.
+int CountMismatches(const double* got, const double* want, size_t n,
+                    int* nan_outputs, int* inf_outputs) {
+  int mismatches = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (std::isnan(want[i])) {
+      ++*nan_outputs;
+      if (!std::isnan(got[i])) ++mismatches;
+    } else {
+      if (std::isinf(want[i])) ++*inf_outputs;
+      if (std::memcmp(&got[i], &want[i], sizeof(double)) != 0) ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+/// Plants 1-4 edge values (NaN, +-inf, signed zeros, subnormals,
+/// magnitudes near overflow) at random entries of `v`.
+void PlantSpecials(tamp::Rng& rng, int trial, std::vector<double>& v) {
+  static const double kSpecials[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      1e300,
+      -3.7e299,
+  };
+  constexpr int64_t kNumSpecials = sizeof(kSpecials) / sizeof(kSpecials[0]);
+  const int64_t last = static_cast<int64_t>(v.size()) - 1;
+  for (int n = 0; n < 1 + trial % 4; ++n) {
+    v[static_cast<size_t>(rng.UniformInt(0, last))] =
+        kSpecials[rng.UniformInt(0, kNumSpecials - 1)];
+  }
+}
+
+/// Non-finite and extreme parameters through one cell and one read-out
+/// layer (the model-level loss rejects a non-finite value, so the cases
+/// run below it): the state pass's dh/dc after every step and the weight
+/// pass's gradient match the per-step oracle bit for bit, NaN against NaN.
+TEST(BpttParityTest, NonFiniteParametersMatchOracle) {
+  tamp::Rng rng(404);
+  int nan_outputs = 0, inf_outputs = 0;
+  const Shape shapes[] = {{3, 16, 0, 10}, {2, 9, 0, 5}, {3, 3, 0, 5},
+                          {2, 17, 0, 1},  {3, 8, 0, 10}, {2, 24, 0, 3}};
+  for (const Shape& shape : shapes) {
+    const size_t hd = static_cast<size_t>(shape.hidden_dim);
+    const size_t id = static_cast<size_t>(shape.input_dim);
+    const size_t steps = static_cast<size_t>(shape.seq_in);
+    const LstmCell cell(shape.input_dim, shape.hidden_dim, /*offset=*/0);
+    for (int trial = 0; trial < 40; ++trial) {
+      SCOPED_TRACE(Describe(shape) << " trial " << trial);
+      std::vector<double> params(cell.param_count());
+      cell.InitParams(rng, params);
+      PlantSpecials(rng, trial, params);
+      LstmTrace trace;
+      cell.ResizeTrace(trace, steps);
+      std::vector<double> h(hd, 0.0), c(hd, 0.0), x(id);
+      for (size_t t = 0; t < steps; ++t) {
+        for (double& v : x) v = rng.Uniform(-1.0, 1.0);
+        cell.Forward(params, x.data(), h.data(), c.data(), trace, t);
+      }
+      std::vector<double> dh(hd), dc(hd);
+      for (double& v : dh) v = rng.Uniform(-1.0, 1.0);
+      for (double& v : dc) v = rng.Uniform(-1.0, 1.0);
+      std::vector<double> want_dh = dh, want_dc = dc, want_dz(4 * hd);
+      std::vector<double> dz(steps * 4 * hd);
+      std::vector<double> got(params.size(), 0.0), want(params.size(), 0.0);
+      int mismatches = 0;
+      for (size_t t = steps; t-- > 0;) {
+        cell.BackwardState(params, trace, t, dh.data(), dc.data(),
+                           dz.data() + t * 4 * hd);
+        testing::OracleLstmBackward(cell, params, trace, t, want_dh.data(),
+                                    want_dc.data(), want_dz.data(), want);
+        mismatches += CountMismatches(dh.data(), want_dh.data(), hd,
+                                      &nan_outputs, &inf_outputs);
+        mismatches += CountMismatches(dc.data(), want_dc.data(), hd,
+                                      &nan_outputs, &inf_outputs);
+      }
+      cell.WeightGradient(trace, dz.data(), steps, /*scale=*/1.0, got);
+      mismatches += CountMismatches(got.data(), want.data(), got.size(),
+                                    &nan_outputs, &inf_outputs);
+      EXPECT_EQ(mismatches, 0);
+
+      // A read-out over the same steps, hidden states as its inputs; odd
+      // output widths reach the weight pass's odd-row path.
+      const size_t out = 2 + static_cast<size_t>(trial % 2);
+      const Linear readout(shape.hidden_dim, static_cast<int>(out),
+                           /*offset=*/0);
+      std::vector<double> rparams(readout.param_count());
+      readout.InitParams(rng, rparams);
+      PlantSpecials(rng, trial, rparams);
+      std::vector<double> dy(steps * out);
+      for (double& v : dy) v = rng.Uniform(-1.0, 1.0);
+      const double* inputs = trace.h_prev.data();
+      std::vector<double> rgot(rparams.size(), 0.0);
+      std::vector<double> rwant(rparams.size(), 0.0);
+      std::vector<double> dx(hd), want_dx(hd);
+      mismatches = 0;
+      for (size_t t = steps; t-- > 0;) {
+        readout.BackwardInput(rparams, dy.data() + t * out, dx.data());
+        testing::OracleLinearBackward(readout, rparams, inputs + t * hd,
+                                      dy.data() + t * out, rwant,
+                                      want_dx.data());
+        mismatches += CountMismatches(dx.data(), want_dx.data(), hd,
+                                      &nan_outputs, &inf_outputs);
+      }
+      readout.WeightGradient(inputs, dy.data(), steps, /*scale=*/1.0, rgot);
+      mismatches += CountMismatches(rgot.data(), rwant.data(), rgot.size(),
+                                    &nan_outputs, &inf_outputs);
+      EXPECT_EQ(mismatches, 0);
+    }
+  }
+  // The plants must reach the compared outputs as both NaN and infinity.
+  EXPECT_GT(nan_outputs, 0);
+  EXPECT_GT(inf_outputs, 0);
 }
 
 /// BatchLossAndGradient keeps one scratch and sample gradient per pool

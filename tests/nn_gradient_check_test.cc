@@ -65,8 +65,7 @@ TEST(LinearGradientTest, MatchesFiniteDifferences) {
   std::vector<double> dy(y.size());
   for (size_t i = 0; i < y.size(); ++i) dy[i] = 2.0 * (y[i] - target[i]);
   std::vector<double> grad(params.size(), 0.0);
-  std::vector<double> dx(x.size());
-  layer.Backward(params, x.data(), dy.data(), grad, dx.data());
+  layer.WeightGradient(x.data(), dy.data(), /*steps=*/1, /*scale=*/1.0, grad);
 
   std::vector<double> numeric = NumericalGradient(loss_fn, params);
   EXPECT_LT(MaxRelError(grad, numeric), 1e-5);
@@ -88,9 +87,8 @@ TEST(LinearGradientTest, InputGradientMatchesFiniteDifferences) {
   std::vector<double> y(2);
   layer.Forward(params, x.data(), y.data());
   std::vector<double> dy = {2.0 * y[0], 0.5};
-  std::vector<double> grad(params.size(), 0.0);
   std::vector<double> dx(x.size());
-  layer.Backward(params, x.data(), dy.data(), grad, dx.data());
+  layer.BackwardInput(params, dy.data(), dx.data());
 
   std::vector<double> numeric = NumericalGradient(loss_of_x, x);
   EXPECT_LT(MaxRelError(dx, numeric), 1e-5);
@@ -117,19 +115,23 @@ TEST(LstmCellGradientTest, MatchesFiniteDifferencesThroughTwoSteps) {
     return loss;
   };
 
-  // Analytic: forward into a flat trace, backprop both steps.
+  // Analytic: forward into a flat trace, a state pass back through both
+  // steps keeping each step's gate gradients, then one weight pass.
   std::vector<double> h(hidden, 0.0), c(hidden, 0.0);
   LstmTrace trace;
   cell.ResizeTrace(trace, xs.size());
   for (size_t t = 0; t < xs.size(); ++t) {
     cell.Forward(params, xs[t].data(), h.data(), c.data(), trace, t);
   }
-  std::vector<double> dh(hidden), dc(hidden, 0.0), dz(4 * hidden);
+  std::vector<double> dh(hidden), dc(hidden, 0.0);
+  std::vector<double> dz(xs.size() * 4 * hidden);
   for (int k = 0; k < hidden; ++k) dh[k] = 2.0 * h[k];
-  std::vector<double> grad(params.size(), 0.0);
   for (size_t t = xs.size(); t-- > 0;) {
-    cell.Backward(params, trace, t, dh.data(), dc.data(), dz.data(), grad);
+    cell.BackwardState(params, trace, t, dh.data(), dc.data(),
+                       dz.data() + t * 4 * hidden);
   }
+  std::vector<double> grad(params.size(), 0.0);
+  cell.WeightGradient(trace, dz.data(), xs.size(), /*scale=*/1.0, grad);
 
   std::vector<double> numeric = NumericalGradient(loss_fn, params);
   EXPECT_LT(MaxRelError(grad, numeric), 1e-4);

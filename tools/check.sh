@@ -2,7 +2,8 @@
 # One-command pre-merge gate for the TAMP repo.
 #
 #   tools/check.sh                 Release build + ctest, the bench metrics
-#                                  gate (micro benches vs bench/baselines/),
+#                                  gate (micro benches, stream and Fig. 7
+#                                  vs bench/baselines/),
 #                                  clang-tidy (when installed), ASan+UBSan
 #                                  build + ctest, a TSan build + ctest over
 #                                  the concurrency tests at TAMP_THREADS=4,
@@ -102,7 +103,8 @@ tsan_stage() {
 # ("stages", "_s" keys, "threads") is advisory in tamp_bench_compare, so
 # this is machine-independent; min_time stays tiny because only the counts
 # are gated. The committed 1- vs 4-thread table JSONs are cross-compared
-# too, pinning the bit-identical-across-threads contract.
+# too, pinning the bit-identical-across-threads contract, and the Fig. 7
+# bench re-runs against its committed report.
 bench_gate_stage() {
   local dir="$REPO_ROOT/build-check-release"
   local compare="$dir/tools/tamp_bench_compare"
@@ -130,6 +132,14 @@ bench_gate_stage() {
             "$baselines/BENCH_table4_cluster_ablation.threads1.json" \
             "$baselines/BENCH_table4_cluster_ablation.threads4.json" \
             || return 1
+  # The paper's Fig. 7 sweep end to end (GTTAML training with TA and MSE
+  # loss at hidden_dim 16, then every method's replay): its quality
+  # metrics and work counters gate bitwise against the committed run.
+  run_stage "bench-run-fig7" env TAMP_BENCH_JSON_DIR="$dir" \
+            "$dir/bench/bench_fig7_tasks_porto" --threads=1 || return 1
+  run_stage "bench-gate-fig7" "$compare" \
+            "$baselines/BENCH_fig7_tasks_porto.json" \
+            "$dir/BENCH_fig7_tasks_porto.json" || return 1
 }
 
 # The repository benchmark's own unit tests (stats helpers, self time,
