@@ -45,6 +45,28 @@ void WriteJsonSection(std::ofstream& os, const char* name,
   os << "}" << (trailing_comma ? "," : "") << "\n";
 }
 
+// What produced a report, injected at configure time (bench/CMakeLists.txt).
+// A build that sets none of them, such as perfbench's, records "unknown".
+#ifndef TAMP_GIT_REV
+#define TAMP_GIT_REV "unknown"
+#endif
+#ifndef TAMP_BUILD_TYPE
+#define TAMP_BUILD_TYPE "unknown"
+#endif
+#ifndef TAMP_COMPILER
+#define TAMP_COMPILER "unknown"
+#endif
+
+/// The "manifest" block, with perfbench's manifest field names.
+void WriteManifest(std::ofstream& os) {
+  os << "  \"manifest\": {\n";
+  os << "    \"git_rev\": \"" << JsonEscape(TAMP_GIT_REV) << "\",\n";
+  os << "    \"build_type\": \"" << JsonEscape(TAMP_BUILD_TYPE) << "\",\n";
+  os << "    \"compiler\": \"" << JsonEscape(TAMP_COMPILER) << "\",\n";
+  os << "    \"threads\": " << ParallelThreadCount() << "\n";
+  os << "  },\n";
+}
+
 /// Assignment methods in presentation order, with the loss variant used
 /// to train the models each consumes (per Section IV-A: KM/PPI use the
 /// task-assignment-oriented loss; the *-loss variants use plain MSE, as
@@ -146,6 +168,7 @@ JsonReport::~JsonReport() {
   }
   os << "{\n";
   os << "  \"target\": \"" << JsonEscape(target_) << "\",\n";
+  WriteManifest(os);
   os << "  \"threads\": " << ParallelThreadCount() << ",\n";
   WriteJsonSection(os, "stages", stages_, /*trailing_comma=*/true);
   // The observability registry snapshot (DESIGN.md §4e). Keys with an

@@ -17,9 +17,12 @@ namespace tamp::bench {
 /// destructor writes `BENCH_<target>.json` (into the configured directory,
 /// TAMP_BENCH_JSON_DIR, or the working directory) next to the
 /// human-readable table/CSV on stdout. The file also records the thread
-/// count the run used and a snapshot of the observability registry
+/// count the run used, a snapshot of the observability registry
 /// (DESIGN.md §4e), so perf trajectories (tools/bench_compare) compare
-/// like with like.
+/// like with like, and a "manifest" of what produced it: git_rev,
+/// build_type and compiler as set at configure time ("unknown" outside a
+/// git checkout or when the build does not inject them) and threads.
+/// bench_compare ignores the manifest.
 class JsonReport {
  public:
   /// `json_dir` overrides TAMP_BENCH_JSON_DIR when non-empty.

@@ -200,6 +200,8 @@ SimMetrics EventSimulator::Run(
     return metrics;
   }
 
+  // Predictors are immutable for the run: pack them once, here.
+  step_.PackPredictors(method, predictors);
   SeedWorkloadEvents();
   while (!queue_.empty()) {
     const SimEvent event = queue_.Pop();

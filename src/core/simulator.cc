@@ -64,7 +64,7 @@ StatusOr<AssignMethod> ParseAssignMethod(std::string_view name) {
 BatchAssignStep::BatchAssignStep(const data::Workload& workload,
                                  const nn::EncoderDecoder& model,
                                  const SimulatorConfig& config)
-    : workload_(workload), config_(config), batched_model_(model.config()) {
+    : workload_(workload), config_(config), packed_model_(model.config()) {
   // The observation window length matches the training seq_in: infer it
   // from the first learning task if available.
   if (!workload_.learning_tasks.empty() &&
@@ -75,6 +75,29 @@ BatchAssignStep::BatchAssignStep(const data::Workload& workload,
              !workload_.learning_tasks.front().eval.empty()) {
     observe_steps_ = static_cast<int>(
         workload_.learning_tasks.front().eval.front().input.size());
+  }
+}
+
+namespace {
+
+/// Whether `method` assigns on forecast routines (UB and LB do not).
+bool Forecasts(AssignMethod method) {
+  return method == AssignMethod::kKm || method == AssignMethod::kPpi ||
+         method == AssignMethod::kGgpso;
+}
+
+}  // namespace
+
+void BatchAssignStep::PackPredictors(
+    AssignMethod method, const std::vector<WorkerPredictor>& predictors) {
+  worker_packs_.resize(predictors.size());
+  for (size_t w = 0; w < predictors.size(); ++w) {
+    if (Forecasts(method)) {
+      TAMP_CHECK(predictors[w].params != nullptr);
+      packed_model_.Pack(*predictors[w].params, &worker_packs_[w]);
+    } else {
+      worker_packs_[w].data.clear();
+    }
   }
 }
 
@@ -118,11 +141,10 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
   std::vector<geo::Trajectory> real_futures(available.size());
   double horizon_min =
       config_.prediction_horizon_steps * config_.sample_period_min;
-  const bool predicts = method == AssignMethod::kKm ||
-                        method == AssignMethod::kPpi ||
-                        method == AssignMethod::kGgpso;
+  const bool predicts = Forecasts(method);
   if (predicts) {
-    forecast_params_.resize(available.size());
+    TAMP_CHECK(worker_packs_.size() == predictors.size());
+    forecast_packs_.resize(available.size());
     forecast_recents_.resize(available.size());
   }
   std::optional<obs::TraceSpan> views_span(std::in_place, "sim.views");
@@ -136,7 +158,6 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
     cw.speed_kmpm = record.speed_kmpm;
     cw.matching_rate = predictors[wi].matching_rate;
     if (predicts) {
-      TAMP_CHECK(predictors[wi].params != nullptr);
       // Recent observed positions (platform-visible location reports),
       // in the persistent per-slot buffer.
       std::vector<geo::Point>& recent = forecast_recents_[a];
@@ -145,7 +166,7 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
         recent.push_back(
             record.test.PositionAt(now - s * config_.sample_period_min));
       }
-      forecast_params_[a] = predictors[wi].params;
+      forecast_packs_[a] = &worker_packs_[wi];
     }
     batch_workers[a] = std::move(cw);
     // The oracle's and the acceptance test's view of reality.
@@ -153,11 +174,11 @@ BatchAssignStep::Outcome BatchAssignStep::Step(
   });
   views_span.reset();
   if (predicts) {
-    // The fleet-level forecast call: one batched rollout for every worker,
-    // reusing the engine scratch across batches.
+    // The fleet-level forecast call: one worker-major rollout over the
+    // run's packed predictors, reusing the rollout scratch across batches.
     Stopwatch forecast_watch;
     obs::TraceSpan forecast_span("sim.forecast");
-    RolloutPredictBatch(batched_model_, forecast_params_, forecast_recents_,
+    RolloutPredictBatch(packed_model_, forecast_packs_, forecast_recents_,
                         workload_.grid, config_.prediction_horizon_steps, now,
                         config_.sample_period_min, forecast_scratch_,
                         &forecast_out_);

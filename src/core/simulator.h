@@ -11,7 +11,7 @@
 #include "common/status.h"
 #include "core/rollout.h"
 #include "data/workload.h"
-#include "nn/batched_seq2seq.h"
+#include "nn/packed_seq2seq.h"
 #include "nn/encoder_decoder.h"
 
 namespace tamp::core {
@@ -132,10 +132,19 @@ class BatchAssignStep {
     double assign_seconds = 0.0;  // Assignment-algorithm time this batch.
   };
 
+  /// Packs every worker's predictor for the forecasts of one run (k-major
+  /// gate weights, nn::PackedSeq2Seq), keyed by worker index. A run's
+  /// predictors are immutable, so EventSimulator::Run calls this once
+  /// before its first trigger; every call repacks, so a later run never
+  /// sees an earlier run's weights, even behind the same pointers.
+  /// Prediction-free methods (UB, LB) pack nothing.
+  void PackPredictors(AssignMethod method,
+                      const std::vector<WorkerPredictor>& predictors);
+
   /// Runs one batch at `now` over the pending pool and the available
-  /// workload-worker indices (ascending). Also records the per-batch
-  /// observability (batch count, pool/fleet depths, forecast/assign
-  /// timings).
+  /// workload-worker indices (ascending), forecasting on the packs of the
+  /// last PackPredictors call. Also records the per-batch observability
+  /// (batch count, pool/fleet depths, forecast/assign timings).
   Outcome Step(AssignMethod method,
                const std::vector<WorkerPredictor>& predictors, double now,
                const std::deque<assign::SpatialTask>& pool,
@@ -146,11 +155,12 @@ class BatchAssignStep {
   const SimulatorConfig& config_;
   /// Observation window length (matches the training seq_in).
   int observe_steps_ = 5;
-  /// Fleet-batched forecast engine + its cross-batch scratch (SoA windows,
-  /// tile plan, gate matrices).
-  nn::BatchedSeq2Seq batched_model_;
+  /// Worker-major forecast engine, the run's packed predictors (one per
+  /// workload worker) and the cross-batch rollout scratch.
+  nn::PackedSeq2Seq packed_model_;
+  std::vector<nn::PackedSeq2SeqParams> worker_packs_;
   FleetForecastScratch forecast_scratch_;
-  std::vector<const std::vector<double>*> forecast_params_;
+  std::vector<const nn::PackedSeq2SeqParams*> forecast_packs_;
   std::vector<std::vector<geo::Point>> forecast_recents_;
   std::vector<std::vector<geo::TimedPoint>> forecast_out_;
 };

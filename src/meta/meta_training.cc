@@ -1,6 +1,7 @@
 #include "meta/meta_training.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 #include "common/obs/metrics.h"
@@ -102,6 +103,8 @@ PickResult RunPick(const nn::EncoderDecoder& model, const LearningTask& task,
                    const MetaTrainConfig& config) {
   static obs::Counter& adapt_steps_counter =
       obs::MetricsRegistry::Global().GetCounter("meta.adapt_steps");
+  static obs::Counter& nonfinite_counter =
+      obs::MetricsRegistry::Global().GetCounter("meta.nonfinite_losses");
   PickResult out;
   if (task.support.empty() || task.query.empty()) return out;
   // Alg. 3 lines 4-7: adapt k steps on the support set.
@@ -112,6 +115,12 @@ PickResult RunPick(const nn::EncoderDecoder& model, const LearningTask& task,
   std::vector<double> query_grad(theta.size(), 0.0);
   out.query_loss =
       BatchLossAndGradient(model, adapted, task.query, config, query_grad);
+  if (!std::isfinite(out.query_loss)) {
+    // A diverged adaptation (or a poisoned sample) must not reach the
+    // leaf's meta step: the pick is counted and contributes nothing.
+    nonfinite_counter.Increment();
+    return out;
+  }
   if (config.update_rule == MetaUpdateRule::kFomaml) {
     // First-order MAML: the query gradient at theta_i is this task's
     // contribution to the meta-gradient.
@@ -243,6 +252,8 @@ MetaTrainResult MetaTrain(const nn::EncoderDecoder& model,
 double FineTune(const nn::EncoderDecoder& model, const LearningTask& task,
                 std::vector<double>& theta, int steps, double learning_rate,
                 const MetaTrainConfig& config) {
+  static obs::Counter& nonfinite_counter =
+      obs::MetricsRegistry::Global().GetCounter("meta.nonfinite_losses");
   std::vector<TrainingSample> samples = task.support;
   samples.insert(samples.end(), task.query.begin(), task.query.end());
   if (samples.empty() || steps <= 0) return 0.0;
@@ -255,6 +266,13 @@ double FineTune(const nn::EncoderDecoder& model, const LearningTask& task,
   for (int s = 0; s < steps; ++s) {
     std::fill(grad.begin(), grad.end(), 0.0);
     loss = BatchLossAndGradient(model, theta, samples, weights, grad);
+    if (!std::isfinite(loss)) {
+      // This worker's parameters (or data) went non-finite: stop here and
+      // leave theta as it is. The online stage's forecast guard then
+      // counts its predictions (sim.nonfinite_forecasts).
+      nonfinite_counter.Increment();
+      break;
+    }
     nn::ClipGradientNorm(grad, config.grad_clip);
     optimizer.Step(theta, grad);
   }

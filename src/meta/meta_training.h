@@ -87,8 +87,9 @@ std::vector<double> AdaptKSteps(const nn::EncoderDecoder& model,
 /// Meta-Training (Algorithm 3) on one cluster of learning tasks using
 /// first-order MAML: each iteration samples m member tasks, adapts k steps
 /// on each task's support set, and applies the mean query gradient at the
-/// adapted parameters to `theta`. `members` indexes into `tasks`. The
-/// one-leaf call of MetaTrainWavefront.
+/// adapted parameters to `theta`. `members` indexes into `tasks`. A pick
+/// whose query loss is non-finite is counted (meta.nonfinite_losses) and
+/// left out of the mean. The one-leaf call of MetaTrainWavefront.
 MetaTrainResult MetaTrain(const nn::EncoderDecoder& model,
                           const std::vector<LearningTask>& tasks,
                           const std::vector<int>& members,
@@ -116,7 +117,10 @@ void MetaTrainWavefront(const nn::EncoderDecoder& model,
                         const MetaTrainConfig& config, Rng& rng);
 
 /// Per-worker fine-tuning after meta-initialization: `steps` Adam steps on
-/// the worker's support + query data. Returns the final training loss.
+/// the worker's support + query data. Returns the final training loss. At
+/// the first non-finite batch loss it counts meta.nonfinite_losses, stops,
+/// and returns that loss with theta left at the parameters that produced
+/// it.
 double FineTune(const nn::EncoderDecoder& model, const LearningTask& task,
                 std::vector<double>& theta, int steps, double learning_rate,
                 const MetaTrainConfig& config);

@@ -61,41 +61,22 @@ void BatchedSeq2Seq::PlanBatch(
     scratch.group_rows[it->second].push_back(static_cast<int>(r));
   }
 
-  // Lay the groups out as columns: multi-row groups become `shared` tiles
-  // (one weight fetch serves the whole tile: GEMM); runs of consecutive
-  // single-row groups are packed together into mixed tiles (blocked
-  // batched GEMV) so a fully fine-tuned fleet still amortizes loop
-  // overhead across kTileCols workers per kernel.
+  // Lay the groups out as columns, each group as tiles of at most
+  // kTileCols columns: one weight fetch serves the whole tile (GEMM).
   scratch.col_row.clear();
-  scratch.col_params.clear();
   scratch.tiles.clear();
-  size_t mixed_start = 0;  // First column of the open mixed run.
-  auto flush_mixed = [&scratch, &mixed_start](size_t end) {
-    for (size_t b = mixed_start; b < end; b += kTileCols) {
-      scratch.tiles.push_back({b, std::min(end, b + kTileCols), false});
-    }
-    mixed_start = end;
-  };
   for (size_t g = 0; g < n_groups; ++g) {
     const std::vector<int>& members = scratch.group_rows[g];
-    if (members.size() == 1) {
-      scratch.col_row.push_back(members[0]);
-      scratch.col_params.push_back(row_params[static_cast<size_t>(members[0])]);
-      continue;  // Stays in the open mixed run.
-    }
-    flush_mixed(scratch.col_row.size());
+    const std::vector<double>* params =
+        row_params[static_cast<size_t>(members[0])];
     const size_t group_begin = scratch.col_row.size();
-    for (int r : members) {
-      scratch.col_row.push_back(r);
-      scratch.col_params.push_back(row_params[static_cast<size_t>(r)]);
-    }
+    scratch.col_row.insert(scratch.col_row.end(), members.begin(),
+                           members.end());
     for (size_t b = group_begin; b < scratch.col_row.size(); b += kTileCols) {
       scratch.tiles.push_back(
-          {b, std::min(scratch.col_row.size(), b + kTileCols), true});
+          {b, std::min(scratch.col_row.size(), b + kTileCols), params});
     }
-    mixed_start = scratch.col_row.size();
   }
-  flush_mixed(scratch.col_row.size());
   TAMP_CHECK(scratch.col_row.size() == rows);
 }
 
@@ -115,45 +96,26 @@ void BatchedSeq2Seq::CellStep(const LstmCell& cell,
 
   // z = W_x x + W_h h_prev + b, gate blocks [i f g o]. Per column the
   // accumulation chain is exactly LstmCell::Forward's: b[r], then W_x row
-  // r in ascending k, then W_h row r in ascending k.
-  if (tile.shared) {
-    // One parameter vector for the whole tile: the weight element is a
-    // loop invariant across columns (true GEMM, r-k-col loop order).
-    const double* wx = scratch.col_params[begin]->data() + cell.offset();
-    const double* wh = wx + h4 * id;
-    const double* b = wh + h4 * hd;
-    for (size_t r = 0; r < h4; ++r) {
-      double* zr = z + r * width;
-      const double br = b[r];
-      for (size_t col = begin; col < end; ++col) zr[col] = br;
-      const double* wxr = wx + r * id;
-      for (size_t k = 0; k < id; ++k) {
-        const double w = wxr[k];
-        const double* xk = x + k * width;
-        for (size_t col = begin; col < end; ++col) zr[col] += w * xk[col];
-      }
-      const double* whr = wh + r * hd;
-      for (size_t k = 0; k < hd; ++k) {
-        const double w = whr[k];
-        const double* hk = h + k * width;
-        for (size_t col = begin; col < end; ++col) zr[col] += w * hk[col];
-      }
+  // r in ascending k, then W_h row r in ascending k. The weight element is
+  // a loop invariant across the tile's columns (r-k-col loop order).
+  const double* wx = tile.params->data() + cell.offset();
+  const double* wh = wx + h4 * id;
+  const double* b = wh + h4 * hd;
+  for (size_t r = 0; r < h4; ++r) {
+    double* zr = z + r * width;
+    const double br = b[r];
+    for (size_t col = begin; col < end; ++col) zr[col] = br;
+    const double* wxr = wx + r * id;
+    for (size_t k = 0; k < id; ++k) {
+      const double w = wxr[k];
+      const double* xk = x + k * width;
+      for (size_t col = begin; col < end; ++col) zr[col] += w * xk[col];
     }
-  } else {
-    // Distinct parameters per column: one GatePreactivations per column
-    // on its x/h gathered into a contiguous per-thread buffer [x | h | z].
-    thread_local std::vector<double> col_buf;
-    col_buf.resize(id + hd + h4);
-    double* cx = col_buf.data();
-    double* ch = cx + id;
-    double* cz = ch + hd;
-    for (size_t col = begin; col < end; ++col) {
-      for (size_t k = 0; k < id; ++k) cx[k] = x[k * width + col];
-      for (size_t k = 0; k < hd; ++k) ch[k] = h[k * width + col];
-      const double* wx = scratch.col_params[col]->data() + cell.offset();
-      const double* wh = wx + h4 * id;
-      GatePreactivations(wx, wh, wh + h4 * hd, cx, ch, id, hd, cz);
-      for (size_t r = 0; r < h4; ++r) z[r * width + col] = cz[r];
+    const double* whr = wh + r * hd;
+    for (size_t k = 0; k < hd; ++k) {
+      const double w = whr[k];
+      const double* hk = h + k * width;
+      for (size_t col = begin; col < end; ++col) zr[col] += w * hk[col];
     }
   }
 
@@ -191,30 +153,17 @@ void BatchedSeq2Seq::ReadoutStep(const BatchedSeq2SeqScratch::Tile& tile,
   const size_t begin = tile.begin;
   const size_t end = tile.end;
   const double* h = scratch.h.data();
-  if (tile.shared) {
-    const double* w = scratch.col_params[begin]->data() + readout_.offset();
-    const double* b = w + out * in;
-    for (size_t r = 0; r < out; ++r) {
-      double* dr = dst + r * width;
-      const double br = b[r];
-      for (size_t col = begin; col < end; ++col) dr[col] = br;
-      const double* wr = w + r * in;
-      for (size_t k = 0; k < in; ++k) {
-        const double wv = wr[k];
-        const double* hk = h + k * width;
-        for (size_t col = begin; col < end; ++col) dr[col] += wv * hk[col];
-      }
-    }
-  } else {
-    for (size_t col = begin; col < end; ++col) {
-      const double* w = scratch.col_params[col]->data() + readout_.offset();
-      const double* b = w + out * in;
-      for (size_t r = 0; r < out; ++r) {
-        double acc = b[r];
-        const double* wr = w + r * in;
-        for (size_t k = 0; k < in; ++k) acc += wr[k] * h[k * width + col];
-        dst[r * width + col] = acc;
-      }
+  const double* w = tile.params->data() + readout_.offset();
+  const double* b = w + out * in;
+  for (size_t r = 0; r < out; ++r) {
+    double* dr = dst + r * width;
+    const double br = b[r];
+    for (size_t col = begin; col < end; ++col) dr[col] = br;
+    const double* wr = w + r * in;
+    for (size_t k = 0; k < in; ++k) {
+      const double wv = wr[k];
+      const double* hk = h + k * width;
+      for (size_t col = begin; col < end; ++col) dr[col] += wv * hk[col];
     }
   }
 }

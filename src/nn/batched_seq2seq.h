@@ -14,19 +14,17 @@ namespace tamp::nn {
 /// Contents never influence results — each Forward fully overwrites what
 /// it reads — so reuse is bit-safe by construction.
 struct BatchedSeq2SeqScratch {
-  /// One contiguous column range processed by one kernel chain. `shared`
-  /// tiles cover rows of a single parameter vector (the weight row is a
-  /// loop invariant: a true GEMM); mixed tiles pack runs of
-  /// distinct-parameter rows (blocked batched GEMV).
+  /// One contiguous column range of rows sharing one parameter vector: the
+  /// weight element is a loop invariant across the tile's columns (a true
+  /// GEMM; a single-row group is a one-column tile).
   struct Tile {
     size_t begin = 0;
     size_t end = 0;
-    bool shared = false;
+    const std::vector<double>* params = nullptr;
   };
 
   // Batch plan, rebuilt by every Forward.
   std::vector<int> col_row;  // column -> caller row index.
-  std::vector<const std::vector<double>*> col_params;
   std::vector<Tile> tiles;
   // Grouping helpers (the map is lookup-only, never iterated).
   std::unordered_map<const std::vector<double>*, size_t> group_index;
@@ -45,19 +43,18 @@ struct BatchedSeq2SeqScratch {
   std::vector<double> pack_out;
 };
 
-/// Fleet-batched LSTM encoder-decoder inference over the EncoderDecoder
-/// parameter layout: packs every row's (= worker's / sample's) hidden and
-/// cell state plus per-step inputs into structure-of-arrays matrices and
-/// runs each encoder/decoder timestep as one fused gate kernel per column
-/// tile instead of one scalar LstmCell::Forward chain per row.
+/// Batched LSTM encoder-decoder inference for rows that share parameters
+/// (MobilityTrainer::Evaluate runs each worker's eval samples as one
+/// batch): packs every row's hidden and cell state plus per-step inputs
+/// into structure-of-arrays matrices and runs each encoder/decoder
+/// timestep as one gate GEMM per column tile instead of one
+/// LstmCell::Forward chain per row. The fleet forecast, where every worker
+/// has its own parameters, runs worker-major on nn::PackedSeq2Seq instead
+/// (DESIGN.md §4i).
 ///
 /// Rows are grouped by parameter-vector identity (first-occurrence order,
-/// deterministic). Groups of >= 2 rows — e.g. cluster predictors before
-/// fine-tune, or one worker's eval samples — share their weights across
-/// the tile, making each gate kernel a true GEMM; runs of
-/// distinct-parameter rows are packed into fixed-width mixed tiles that
-/// run the GatePreactivations kernel column by column. Tiles are
-/// kTileCols wide regardless of thread count, so the nn.* work counters
+/// deterministic); each group is laid out as tiles of at most kTileCols
+/// columns, independent of the thread count, so the nn.* work counters
 /// are thread-invariant.
 ///
 /// Bit-identity contract: for every output element the floating-point
@@ -67,7 +64,7 @@ struct BatchedSeq2SeqScratch {
 /// SigmoidInPlace/TanhInPlace kernel (nn/activation.h). Batching only
 /// interchanges loops *across* independent elements, so predictions are
 /// bitwise identical to EncoderDecoder::Predict (asserted by
-/// tests/nn_batched_forecast_test.cc on both datasets at 1 and 4 threads).
+/// tests/nn_batched_forecast_test.cc at 1 and 4 threads).
 class BatchedSeq2Seq {
  public:
   explicit BatchedSeq2Seq(const Seq2SeqConfig& config);
@@ -109,9 +106,8 @@ class BatchedSeq2Seq {
                int seq_in, const double* inputs,
                BatchedSeq2SeqScratch& scratch) const;
 
-  /// z = W_x x + W_h h + b for one tile (GEMM when shared,
-  /// GatePreactivations per column otherwise), then the element-wise gate
-  /// update of h/c.
+  /// z = W_x x + W_h h + b for one tile (a GEMM over its columns), then
+  /// the element-wise gate update of h/c.
   void CellStep(const LstmCell& cell,
                 const BatchedSeq2SeqScratch::Tile& tile, size_t width,
                 BatchedSeq2SeqScratch& scratch) const;

@@ -15,6 +15,12 @@ using Sequence = std::vector<std::vector<double>>;
 ///
 /// Predictions are flat: `predicted` holds the target's steps back to back
 /// (step t has target[t].size() entries), the training kernel's layout.
+///
+/// Non-finite values propagate: a diverged predictor or a poisoned sample
+/// yields a NaN/inf loss and gradient instead of ending the process. The
+/// callers that can degrade test the batch loss and count it
+/// (meta.nonfinite_losses): FineTune stops that worker, and a TAML pick
+/// with a non-finite query loss contributes nothing to its leaf.
 class WeightedMseLoss {
  public:
   /// Loss value. `weights` has one entry per sequence step; pass an empty

@@ -49,6 +49,45 @@ void GatePreactivations(const double* wx, const double* wh, const double* b,
   }
 }
 
+namespace {
+
+#if defined(__SSE2__)
+/// Rows [r, r + 2Q) of GatePreactivationsKMajor: accumulator q owns rows
+/// r + 2q and r + 2q + 1, and every k adds one contiguous pair of wt.
+template <size_t Q>
+void KMajorBlock(const double* wt, const double* b, const double* v,
+                 size_t k_dim, size_t rows, size_t r, double* z) {
+  __m128d acc[Q];
+  for (size_t q = 0; q < Q; ++q) acc[q] = _mm_loadu_pd(b + r + 2 * q);
+  const double* w = wt + r;
+  for (size_t k = 0; k < k_dim; ++k, w += rows) {
+    const __m128d vk = _mm_set1_pd(v[k]);
+    for (size_t q = 0; q < Q; ++q) {
+      acc[q] = _mm_add_pd(acc[q], _mm_mul_pd(_mm_loadu_pd(w + 2 * q), vk));
+    }
+  }
+  for (size_t q = 0; q < Q; ++q) _mm_storeu_pd(z + r + 2 * q, acc[q]);
+}
+#endif
+
+}  // namespace
+
+void GatePreactivationsKMajor(const double* wt, const double* b,
+                              const double* v, size_t k_dim, size_t rows,
+                              double* z) {
+  size_t r = 0;
+#if defined(__SSE2__)
+  for (; r + 16 <= rows; r += 16) KMajorBlock<8>(wt, b, v, k_dim, rows, r, z);
+  for (; r + 8 <= rows; r += 8) KMajorBlock<4>(wt, b, v, k_dim, rows, r, z);
+  for (; r + 2 <= rows; r += 2) KMajorBlock<1>(wt, b, v, k_dim, rows, r, z);
+#endif
+  for (; r < rows; ++r) {
+    double acc = b[r];
+    for (size_t k = 0; k < k_dim; ++k) acc += wt[k * rows + r] * v[k];
+    z[r] = acc;
+  }
+}
+
 LstmCell::LstmCell(int input_dim, int hidden_dim, size_t offset)
     : input_dim_(input_dim), hidden_dim_(hidden_dim), offset_(offset) {
   TAMP_CHECK(input_dim > 0 && hidden_dim > 0);

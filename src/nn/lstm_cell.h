@@ -20,8 +20,8 @@ struct LstmTrace {
   std::vector<double> tanh_c;  // [step][H] tanh(c), reused in backward.
 };
 
-/// The LSTM gate kernel of LstmCell::Forward and of BatchedSeq2Seq's
-/// mixed tiles: for r in [0, 4 * hd),
+/// The LSTM gate kernel of LstmCell::Forward (training): for r in
+/// [0, 4 * hd),
 ///   z[r] = b[r] + sum_k wx[r * id + k] * x[k] + sum_k wh[r * hd + k] * h[k]
 /// with wx/wh row-major as in the LstmCell layout. Rows go 8 at a time in
 /// SSE2 lanes, one row per lane; each lane adds its products in ascending
@@ -30,6 +30,18 @@ struct LstmTrace {
 void GatePreactivations(const double* wx, const double* wh, const double* b,
                         const double* x, const double* h, size_t id,
                         size_t hd, double* z);
+
+/// The same chain on k-major weights, the fleet forecast's gate kernel
+/// (nn::PackedSeq2Seq): for r in [0, rows),
+///   z[r] = b[r] + sum_k wt[k * rows + r] * v[k],   k ascending.
+/// With wt = [W_x^T ; W_h^T] ([(id + hd)][4 * hd]) and v = [x | h] this is
+/// GatePreactivations' chain bit for bit; with wt = W^T of a Linear it is
+/// Linear::Forward's. Rows go 16 at a time (eight SSE2 accumulators fed by
+/// contiguous loads of one k-row of wt), then 8, then 2, then a scalar
+/// tail, each lane adding w * v with a separate multiply and add.
+void GatePreactivationsKMajor(const double* wt, const double* b,
+                              const double* v, size_t k_dim, size_t rows,
+                              double* z);
 
 /// A single LSTM cell with parameters stored in a caller-provided flat
 /// vector (see Linear for the rationale). Gate order in the packed weight

@@ -135,8 +135,15 @@ TEST(GoldenSimMetricsTest, EveryWorkloadAndMethodMatchesFixture) {
         const std::string key =
             std::string(golden.name) + " " +
             std::string(AssignMethodName(method));
-        const std::string line =
-            FormatMetrics(key, pipeline.RunOnline(workload, offline, method));
+        const SimMetrics metrics =
+            pipeline.RunOnline(workload, offline, method);
+        const std::string line = FormatMetrics(key, metrics);
+        if (method == AssignMethod::kUpperBound) {
+          // UB plans on the real trajectories, so no worker ever declines.
+          EXPECT_GT(metrics.assignments, 0) << key;
+          EXPECT_EQ(metrics.accepted, metrics.assignments)
+              << threads << " threads: " << key << " has rejections";
+        }
         if (threads == 1) computed += line + "\n";
         const auto it = fixture.find(key);
         if (it == fixture.end() || it->second != line) {

@@ -1,14 +1,17 @@
-// Bit-identity contract of the batched SoA forecast engine
-// (nn::BatchedSeq2Seq) against the scalar per-worker reference: raw
-// PredictBatch vs Predict, the fleet rollout, scratch shrink-then-grow
-// reuse, the trainer's Evaluate, the full simulator plan, and the
-// thread-invariant work counters. Every comparison is EXPECT_EQ on
-// doubles — exact, not approximate.
+// Bit-identity contract of the forecast engines against the scalar
+// per-worker reference: the shared-parameter SoA engine
+// (nn::BatchedSeq2Seq: raw PredictBatch vs Predict, scratch
+// shrink-then-grow reuse, the trainer's Evaluate), the worker-major fleet
+// rollout on packed predictors (nn::PackedSeq2Seq, core::RolloutPredictBatch)
+// and the thread-invariant work counters. Every comparison is exact:
+// EXPECT_EQ or memcmp on doubles, never approximate.
 #include "nn/batched_seq2seq.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/obs/metrics.h"
@@ -19,6 +22,7 @@
 #include "geo/point.h"
 #include "meta/trainer.h"
 #include "nn/encoder_decoder.h"
+#include "nn/packed_seq2seq.h"
 
 namespace tamp::nn {
 namespace {
@@ -141,6 +145,88 @@ TEST(BatchedSeq2SeqTest, FleetRolloutMatchesScalarOnBothGrids) {
           EXPECT_EQ(batched[w][i].loc.y, scalar[i].loc.y);
           EXPECT_EQ(batched[w][i].time_min, scalar[i].time_min);
         }
+      }
+    }
+  }
+}
+
+/// Bitwise equality of two doubles; a NaN only has to be NaN on both
+/// sides, since a compiler may commute the scalar path's additions and so
+/// pick the other operand's NaN payload or sign.
+bool SameBits(double a, double b) {
+  if (std::isnan(b)) return std::isnan(a);
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The simulator's path: predictors packed once, rows keyed by worker
+/// index. 70 workers (two rollout chunks) on both datasets' grids at 1 and
+/// 4 threads; every third worker shares one predictor and worker 5's is
+/// NaN. Each row must be bit for bit the scalar oracle's rollout (NaN for
+/// NaN).
+TEST(PackedSeq2SeqTest, WorkerMajorRolloutMatchesOracleBitwise) {
+  const geo::GridSpec grids[] = {geo::GridSpec(28.0, 14.0, 50, 100),
+                                 geo::GridSpec(36.0, 36.0, 60, 60)};
+  for (int seq_out : {1, 3}) {
+    Seq2SeqConfig config;
+    config.input_dim = 3;
+    config.hidden_dim = 16;
+    config.seq_out = seq_out;
+    tamp::Rng rng(53);
+    EncoderDecoder model(config);
+    PackedSeq2Seq engine(config);
+    const std::vector<double> shared = model.InitParams(rng);
+    const std::vector<double> poisoned(
+        model.param_count(), std::numeric_limits<double>::quiet_NaN());
+    const size_t workers = 70;
+    std::vector<std::vector<double>> own;
+    for (size_t w = 0; w < workers; ++w) own.push_back(model.InitParams(rng));
+    std::vector<const std::vector<double>*> params(workers);
+    for (size_t w = 0; w < workers; ++w) {
+      params[w] = w == 5 ? &poisoned : w % 3 == 0 ? &shared : &own[w];
+    }
+    // One pack per worker, as BatchAssignStep::PackPredictors keys them.
+    std::vector<PackedSeq2SeqParams> packs(workers);
+    std::vector<const PackedSeq2SeqParams*> row_packs(workers);
+    for (size_t w = 0; w < workers; ++w) {
+      engine.Pack(*params[w], &packs[w]);
+      row_packs[w] = &packs[w];
+    }
+
+    for (const geo::GridSpec& grid : grids) {
+      std::vector<std::vector<geo::Point>> recents;
+      for (size_t w = 0; w < workers; ++w) {
+        std::vector<geo::Point> walk;
+        for (int s = 0; s < 5; ++s) {
+          walk.push_back(grid.Clamp({rng.Uniform(0.0, grid.width_km()),
+                                     rng.Uniform(0.0, grid.height_km())}));
+        }
+        recents.push_back(std::move(walk));
+      }
+      for (int threads : {1, 4}) {
+        ThreadCountGuard guard(threads);
+        core::FleetForecastScratch scratch;
+        std::vector<std::vector<geo::TimedPoint>> batched;
+        core::RolloutPredictBatch(engine, row_packs, recents, grid,
+                                  /*horizon_steps=*/7, /*now_min=*/1430.0,
+                                  /*step_period_min=*/10.0, scratch,
+                                  &batched);
+        ASSERT_EQ(batched.size(), workers);
+        int nan_points = 0;
+        for (size_t w = 0; w < workers; ++w) {
+          const auto scalar = core::testing::RolloutPredict(
+              model, *params[w], recents[w], grid, 7, 1430.0, 10.0);
+          ASSERT_EQ(batched[w].size(), scalar.size());
+          for (size_t i = 0; i < scalar.size(); ++i) {
+            if (std::isnan(scalar[i].loc.x)) ++nan_points;
+            EXPECT_TRUE(SameBits(batched[w][i].loc.x, scalar[i].loc.x) &&
+                        SameBits(batched[w][i].loc.y, scalar[i].loc.y) &&
+                        SameBits(batched[w][i].time_min, scalar[i].time_min))
+                << "seq_out=" << seq_out << " threads=" << threads
+                << " worker=" << w << " step=" << i;
+          }
+        }
+        // The poisoned worker's whole routine, and only it, is NaN.
+        EXPECT_EQ(nan_points, 7);
       }
     }
   }
@@ -294,8 +380,10 @@ TEST(BatchedSeq2SeqTest, TrainerEvaluateMatchesDirectPredict) {
 }
 
 /// The work counters are part of the bench gate, so they must not depend
-/// on the thread count, and the cell count must equal the scalar path's
-/// LstmCell::Forward call count with strictly fewer kernel launches.
+/// on the thread count. The cell count is the scalar path's
+/// LstmCell::Forward call count either way; the shared-parameter engine
+/// launches one GEMM per tile per cell step (plus one readout per decoder
+/// step), and the worker-major rollout launches no batched GEMM at all.
 TEST(BatchedSeq2SeqTest, WorkCountersAreExactAndThreadInvariant) {
   Seq2SeqConfig config;
   config.input_dim = 3;
@@ -305,54 +393,73 @@ TEST(BatchedSeq2SeqTest, WorkCountersAreExactAndThreadInvariant) {
   EncoderDecoder model(config);
   BatchedSeq2Seq engine(config);
 
-  std::vector<std::vector<double>> params;
+  // 70 rows > kTileCols: two shared-parameter groups of 35 and 35 rows,
+  // interleaved, plan as one tile each.
+  std::vector<std::vector<double>> params = {model.InitParams(rng),
+                                             model.InitParams(rng)};
   std::vector<Sequence> windows;
   std::vector<const std::vector<double>*> row_params;
   std::vector<const Sequence*> inputs;
-  const int rows = 70;  // > kTileCols: at least two tiles.
+  std::vector<std::vector<geo::Point>> recents;
+  const geo::GridSpec grid(28.0, 14.0, 50, 100);
+  const int rows = 70;
   for (int r = 0; r < rows; ++r) {
-    params.push_back(model.InitParams(rng));
     windows.push_back(MakeWindow(rng, 5, 3));
+    recents.push_back({});
+    for (int s = 0; s < 5; ++s) {
+      recents.back().push_back({rng.Uniform(0.0, 28.0), rng.Uniform(0.0, 14.0)});
+    }
   }
   for (int r = 0; r < rows; ++r) {
-    row_params.push_back(&params[r]);
-    inputs.push_back(&windows[r]);
+    row_params.push_back(&params[static_cast<size_t>(r % 2)]);
+    inputs.push_back(&windows[static_cast<size_t>(r)]);
   }
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Counter& cells = registry.GetCounter("nn.forecast_cells");
   obs::Counter& gemm = registry.GetCounter("nn.batched_gemm_calls");
   obs::Counter& batch_rows = registry.GetCounter("nn.batch_rows");
+  struct Delta {
+    int64_t cells = 0, gemm = 0, rows = 0;
+  };
+  auto measure = [&](auto&& run) {
+    const Delta before{cells.value(), gemm.value(), batch_rows.value()};
+    run();
+    return Delta{cells.value() - before.cells, gemm.value() - before.gemm,
+                 batch_rows.value() - before.rows};
+  };
 
-  int64_t cell_delta[2] = {0, 0};
-  int64_t gemm_delta[2] = {0, 0};
-  int64_t rows_delta[2] = {0, 0};
+  Delta predict[2], rollout[2];
   const int thread_counts[2] = {1, 4};
   for (int i = 0; i < 2; ++i) {
     ThreadCountGuard guard(thread_counts[i]);
     BatchedSeq2SeqScratch scratch;
     std::vector<Sequence> out;
-    const int64_t c0 = cells.value();
-    const int64_t g0 = gemm.value();
-    const int64_t r0 = batch_rows.value();
-    engine.PredictBatch(row_params, inputs, &out, scratch);
-    cell_delta[i] = cells.value() - c0;
-    gemm_delta[i] = gemm.value() - g0;
-    rows_delta[i] = batch_rows.value() - r0;
+    predict[i] = measure(
+        [&] { engine.PredictBatch(row_params, inputs, &out, scratch); });
+    core::FleetForecastScratch fleet_scratch;
+    std::vector<std::vector<geo::TimedPoint>> routines;
+    rollout[i] = measure([&] {
+      core::RolloutPredictBatch(engine, row_params, recents, grid,
+                                /*horizon_steps=*/5, 600.0, 10.0,
+                                fleet_scratch, &routines);
+    });
   }
 
   // Scalar reference: one LstmCell::Forward per row per (seq_in + seq_out)
-  // step; kernels: one gate launch per tile per cell step plus one readout
-  // launch per tile per decoder step.
-  const int64_t expected_cells = static_cast<int64_t>(rows) * (5 + 2);
-  const int64_t tiles = (rows + 63) / 64;
-  EXPECT_EQ(cell_delta[0], expected_cells);
-  EXPECT_EQ(gemm_delta[0], tiles * (7 + 2));
-  EXPECT_EQ(rows_delta[0], rows);
-  EXPECT_LT(gemm_delta[0], expected_cells);
-  EXPECT_EQ(cell_delta[0], cell_delta[1]);
-  EXPECT_EQ(gemm_delta[0], gemm_delta[1]);
-  EXPECT_EQ(rows_delta[0], rows_delta[1]);
+  // step, one Predict per row per engine pass.
+  EXPECT_EQ(predict[0].cells, int64_t{rows} * (5 + 2));
+  EXPECT_EQ(predict[0].gemm, 2 * (7 + 2));
+  EXPECT_EQ(predict[0].rows, rows);
+  // horizon 5 at seq_out 2: three passes per worker.
+  EXPECT_EQ(rollout[0].cells, int64_t{rows} * 3 * (5 + 2));
+  EXPECT_EQ(rollout[0].gemm, 0);
+  EXPECT_EQ(rollout[0].rows, int64_t{rows} * 3);
+  for (const Delta* d : {predict, rollout}) {
+    EXPECT_EQ(d[0].cells, d[1].cells);
+    EXPECT_EQ(d[0].gemm, d[1].gemm);
+    EXPECT_EQ(d[0].rows, d[1].rows);
+  }
 }
 
 }  // namespace

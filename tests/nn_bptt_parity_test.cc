@@ -410,9 +410,10 @@ TEST(BpttParityTest, NonFiniteParametersMatchOracle) {
   EXPECT_GT(inf_outputs, 0);
 }
 
-/// BatchLossAndGradient keeps one scratch and sample gradient per pool
-/// thread; jobs of different shapes interleave on those threads and must
-/// still equal the per-sample fold over fresh-scratch calls.
+/// BatchLossAndGradient keeps one scratch per pool thread; jobs of
+/// different shapes interleave on those threads and must still equal the
+/// per-sample fold over the per-step oracle (nn_bptt_oracle.h), so a
+/// defect in the backward kernels fails here too, not only the fold.
 TEST(BpttParityTest, BatchLossAndGradientPerThreadScratch) {
   struct Job {
     Seq2SeqConfig config;
@@ -442,19 +443,19 @@ TEST(BpttParityTest, BatchLossAndGradientPerThreadScratch) {
     jobs.push_back(std::move(job));
   }
 
-  // The reference fold: fresh-scratch LossAndGradient per sample.
+  // The reference fold: the per-step oracle per sample, each sample's
+  // gradient added times 1/N.
   std::vector<std::vector<double>> want(jobs.size());
   std::vector<double> want_loss(jobs.size());
   for (size_t j = 0; j < jobs.size(); ++j) {
     const Job& job = jobs[j];
-    EncoderDecoder model(job.config);
     want[j].assign(job.params.size(), 0.0);
     double loss_sum = 0.0;
     double inv = 1.0 / static_cast<double>(job.samples.size());
     for (size_t s = 0; s < job.samples.size(); ++s) {
       std::vector<double> sample_grad(job.params.size(), 0.0);
-      loss_sum += model.LossAndGradient(
-          job.params, job.samples[s].input, job.samples[s].target,
+      loss_sum += testing::OracleLossAndGradient(
+          job.config, job.params, job.samples[s].input, job.samples[s].target,
           job.weights.empty() ? std::vector<double>{} : job.weights[s],
           sample_grad);
       for (size_t i = 0; i < want[j].size(); ++i) {

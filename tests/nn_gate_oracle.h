@@ -4,12 +4,13 @@
 
 namespace tamp::nn::testing {
 
-/// Reference for nn::GatePreactivations: the serial scalar chain. Per row
+/// Reference for nn::GatePreactivations and, on transposed weights,
+/// nn::GatePreactivationsKMajor: the serial scalar chain. Per row
 /// r of the packed [i f g o] blocks, acc starts at b[r], adds W_x row r
 /// against x in ascending k, then W_h row r against h in ascending k.
-/// It includes nothing from src/: LstmCell::Forward and the batched
-/// engine both run the kernel, so comparing them with each other cannot
-/// catch a change to the kernel's rounding.
+/// It includes nothing from src/: training and the forecast both run the
+/// kernels, so comparing them with each other cannot catch a change to a
+/// kernel's rounding.
 inline void ScalarGatePreactivations(const double* wx, const double* wh,
                                      const double* b, const double* x,
                                      const double* h, size_t id, size_t hd,
@@ -21,6 +22,19 @@ inline void ScalarGatePreactivations(const double* wx, const double* wh,
     for (size_t k = 0; k < id; ++k) acc += wxr[k] * x[k];
     const double* whr = wh + r * hd;
     for (size_t k = 0; k < hd; ++k) acc += whr[k] * h[k];
+    z[r] = acc;
+  }
+}
+
+/// Reference for nn::GatePreactivationsKMajor on a general [rows x k_dim]
+/// layer (the readout's shape): per row r, acc starts at b[r] and adds
+/// w[r * k_dim + k] * v[k] in ascending k, w row-major.
+inline void ScalarDenseChain(const double* w, const double* b,
+                             const double* v, size_t k_dim, size_t rows,
+                             double* z) {
+  for (size_t r = 0; r < rows; ++r) {
+    double acc = b[r];
+    for (size_t k = 0; k < k_dim; ++k) acc += w[r * k_dim + k] * v[k];
     z[r] = acc;
   }
 }

@@ -19,9 +19,13 @@
 // Exit code 0 when metrics match (inverted under --expect-diff), 1 when
 // they differ, 2 on usage / IO / parse errors.
 //
+// The "manifest" block (git rev, build type, compiler, thread counts)
+// says what produced a report; it never fails a comparison, so a report
+// from another build or checkout still diffs on its numbers alone.
+//
 // The parser handles exactly the restricted schema JsonReport emits — a
-// flat object of string / number / one-level object-of-number values — by
-// design: no third-party JSON dependency, runs anywhere the toolchain runs.
+// flat object of string / number / one-level object values — by design:
+// no third-party JSON dependency, runs anywhere the toolchain runs.
 
 #include <cctype>
 #include <cmath>
@@ -124,13 +128,22 @@ bool ParseReport(Parser& p, Report* out) {
       if (p.pos < p.text.size() && p.text[p.pos] == '}') {
         ++p.pos;
       } else {
+        // Manifest values describe the run and are dropped here.
+        const bool keep = key != "manifest";
         while (true) {
           std::string inner;
-          double value = 0.0;
           if (!p.ParseString(&inner)) return false;
           if (!p.Expect(':')) return false;
-          if (!p.ParseNumber(&value)) return false;
-          out->numbers[key + "." + inner] = value;
+          p.SkipSpace();
+          if (p.pos < p.text.size() && p.text[p.pos] == '"') {
+            std::string value;
+            if (!p.ParseString(&value)) return false;
+            if (keep) out->strings[key + "." + inner] = value;
+          } else {
+            double value = 0.0;
+            if (!p.ParseNumber(&value)) return false;
+            if (keep) out->numbers[key + "." + inner] = value;
+          }
           p.SkipSpace();
           if (p.pos < p.text.size() && p.text[p.pos] == ',') {
             ++p.pos;
